@@ -37,7 +37,7 @@ let blocked_poll_cost = 120
 let bring_up ?(policy = Hv.Interleave.Round_robin) sys ~nvcpus () =
   if nvcpus < 1 then invalid_arg "Smp.bring_up: nvcpus must be >= 1";
   let kernel = sys.Boot.kernel in
-  for vcpu_id = 1 to nvcpus - 1 do
+  for vcpu_id = Sevsnp.Platform.vcpu_count sys.Boot.platform to nvcpus - 1 do
     match (K.hooks kernel).Guest_kernel.Hooks.h_vcpu_boot ~vcpu_id with
     | Ok () -> ()
     | Error e -> failwith (Printf.sprintf "Smp: AP %d bring-up refused: %s" vcpu_id e)

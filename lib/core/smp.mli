@@ -18,10 +18,14 @@ type t
 
 val bring_up :
   ?policy:Hypervisor.Hv.Interleave.policy -> Boot.veil_system -> nvcpus:int -> unit -> t
-(** Boot APs [1 .. nvcpus-1] via the monitor (the boot VCPU is id 0)
-    and set up the per-VCPU runqueues and the interleaver.  Default
-    policy is [Round_robin].  Raises [Failure] if the monitor refuses
-    a bring-up. *)
+(** Boot the APs among [1 .. nvcpus-1] that are not yet running via
+    the monitor (the boot VCPU is id 0), then set up fresh per-VCPU
+    runqueues and the interleaver.  Calling it again on a system whose
+    APs are already up only attaches a new scheduler and interleaver:
+    Veil-Explore brings up once, snapshots, and re-attaches each
+    branch's guided interleaver to its fork.  Default policy is
+    [Round_robin].  Raises [Failure] if the monitor refuses a
+    bring-up. *)
 
 val spawn : ?vcpu:int -> t -> name:string -> (unit -> unit) -> unit
 (** Register a coroutine; [vcpu] pins its home runqueue (default:

@@ -3,10 +3,10 @@
 
    The deterministic SMP interleaver makes every scheduling decision a
    pure function of the schedule prefix, so the schedule *tree* of a
-   bounded scenario can be enumerated without state capture: re-run the
-   scenario from boot, replay a journal prefix byte-for-byte, take the
-   first runnable VCPU beyond it, and record at every decision the
-   runnable set the run did NOT take.  Depth-first backtracking over
+   bounded scenario can be enumerated by re-running it: fork the
+   scenario's booted snapshot, replay a journal prefix byte-for-byte,
+   take the first runnable VCPU beyond it, and record at every decision
+   the runnable set the run did NOT take.  Depth-first backtracking over
    those untaken alternatives visits every interleaving of the scenario
    (budget permitting), and the chaos invariant classification plus the
    cross-branch invariants below are re-checked on each branch:
@@ -357,24 +357,50 @@ let check_step_invariants (sys : B.veil_system) ~nvcpus last_seq =
   in
   if in_mon > 1 then O.corrupt "%d VCPUs in Dom_MON at a schedule point" in_mon
 
-let run_branch cfg sc ~prefix =
+(* --- the booted snapshot ------------------------------------------- *)
+
+(* Boot plus AP bring-up runs once per explore/probe/replay call, and
+   every branch forks that state.  A fork equals a reboot only while
+   everything a branch observes is reachable from [veil_system] and no
+   coroutine (effect continuation) exists at snapshot time: DESIGN.md
+   §14. *)
+let boot ?(config = default_config) sc =
+  let plan = FP.create ~max_steps:config.cf_watchdog ~seed:config.cf_seed () in
+  List.iter (fun (s, prob, max_hits) -> FP.set_site plan s ?max_hits ~prob ()) sc.sc_sites;
+  let sys = B.boot_veil ~npages:boot_npages ~seed:boot_seed ~chaos:plan () in
+  ignore (Smp.bring_up sys ~nvcpus:sc.sc_nvcpus ());
+  sys
+
+(* The image, or the classified outcome of a failed boot. *)
+let snapshot ?config sc =
+  match Marshal.to_string (boot ?config sc) [ Marshal.Closures ] with
+  | image -> Ok image
+  | exception e -> Error (O.classify (fun () -> raise e))
+
+let fork image : B.veil_system =
+  let sys = Marshal.from_string image 0 in
+  (* OCaml 5.1 does not count unmarshalled words towards major-GC
+     pacing: without an explicit slice, dead forks pile up faster than
+     the collector runs (2,000 forks peaked at ~830 MB RSS, against
+     10 MB with the slice). *)
+  ignore (Gc.major_slice 0);
+  sys
+
+let run_branch cfg sc image ~prefix =
+  let sys = fork image in
   let steps_rev = ref [] in
   let nsteps = ref 0 in
-  let sys_ref = ref None in
   let last_fp = ref 0 in
   let last_seq = Array.make sc.sc_nvcpus min_int in
   let diverged = ref false in
   let journal = ref "" in
   let guide en =
-    (match !sys_ref with
-    | None -> ()
-    | Some sys ->
-        let fp = fingerprint sys in
-        (match !steps_rev with
-        | prev :: _ -> prev.si_visible <- fp <> !last_fp
-        | [] -> ());
-        last_fp := fp;
-        check_step_invariants sys ~nvcpus:sc.sc_nvcpus last_seq);
+    let fp = fingerprint sys in
+    (match !steps_rev with
+    | prev :: _ -> prev.si_visible <- fp <> !last_fp
+    | [] -> ());
+    last_fp := fp;
+    check_step_invariants sys ~nvcpus:sc.sc_nvcpus last_seq;
     let i = !nsteps in
     let choice =
       if i < String.length prefix then begin
@@ -390,32 +416,21 @@ let run_branch cfg sc ~prefix =
     choice
   in
   let body () =
-    let plan = FP.create ~max_steps:cfg.cf_watchdog ~seed:cfg.cf_seed () in
-    List.iter (fun (s, prob, max_hits) -> FP.set_site plan s ?max_hits ~prob ()) sc.sc_sites;
-    let saved = !B.default_chaos in
-    B.default_chaos := (fun () -> Some plan);
+    (* the APs are up: this only attaches the branch's guided interleaver *)
+    let smp = Smp.bring_up ~policy:(I.Guided guide) sys ~nvcpus:sc.sc_nvcpus () in
+    let final = sc.sc_body sys smp in
     Fun.protect
-      ~finally:(fun () -> B.default_chaos := saved)
+      ~finally:(fun () -> journal := Smp.journal smp)
       (fun () ->
-        let sys = B.boot_veil ~npages:boot_npages ~seed:boot_seed () in
-        let smp = Smp.bring_up ~policy:(I.Guided guide) sys ~nvcpus:sc.sc_nvcpus () in
-        sys_ref := Some sys;
-        last_fp := fingerprint sys;
-        let final = sc.sc_body sys smp in
-        Fun.protect
-          ~finally:(fun () -> journal := Smp.journal smp)
-          (fun () ->
-            try Smp.run ~max_steps:cfg.cf_max_steps smp
-            with Gs.Deadlock names ->
-              O.fail (O.Watchdog ("schedule deadlock: " ^ String.concat "," names)));
-        final ();
-        if
-          not
-            (Slog.verify_chain
-               ~lines:(Slog.read_all sys.B.slog)
-               ~digest:(Slog.chain_digest sys.B.slog))
-        then O.fail (O.Corrupt "slog hash chain does not verify at end of branch");
-        O.Passed)
+        try Smp.run ~max_steps:cfg.cf_max_steps smp
+        with Gs.Deadlock names ->
+          O.fail (O.Watchdog ("schedule deadlock: " ^ String.concat "," names)));
+    final ();
+    if
+      not
+        (Slog.verify_chain ~lines:(Slog.read_all sys.B.slog) ~digest:(Slog.chain_digest sys.B.slog))
+    then O.fail (O.Corrupt "slog hash chain does not verify at end of branch");
+    O.Passed
   in
   let outcome =
     O.classify (fun () ->
@@ -430,6 +445,14 @@ let run_branch cfg sc ~prefix =
     br_steps = Array.of_list (List.rev !steps_rev);
     br_diverged = !diverged;
   }
+
+(* If the snapshot boot failed, its outcome is every branch's. *)
+let runner cfg sc =
+  match snapshot ~config:cfg sc with
+  | Ok image -> run_branch cfg sc image
+  | Error boot_failure ->
+      fun ~prefix:_ ->
+        { br_outcome = boot_failure; br_journal = ""; br_steps = [||]; br_diverged = false }
 
 (* --- depth-first schedule-tree enumeration ------------------------- *)
 
@@ -446,7 +469,7 @@ exception Found of branch
 
 let digit v = String.make 1 (Char.chr (Char.code '0' + v))
 
-let rec expand cfg sc st ~sleep ~from r =
+let rec expand cfg run st ~sleep ~from r =
   let n = Array.length r.br_steps in
   if n > st.st_max_depth then st.st_max_depth <- n;
   let sleep = ref sleep in
@@ -463,7 +486,7 @@ let rec expand cfg sc st ~sleep ~from r =
           else if st.st_runs >= cfg.cf_budget then st.st_deferred <- st.st_deferred + 1
           else begin
             let p' = String.sub r.br_journal 0 i ^ digit a in
-            let r' = run_branch cfg sc ~prefix:p' in
+            let r' = run ~prefix:p' in
             st.st_runs <- st.st_runs + 1;
             st.st_branched <- st.st_branched + 1;
             if r'.br_diverged then
@@ -484,7 +507,7 @@ let rec expand cfg sc st ~sleep ~from r =
             let child_sleep =
               if a_visible then ISet.empty else ISet.remove a (ISet.union !sleep !explored)
             in
-            expand cfg sc st ~sleep:child_sleep ~from:(i + 1) r';
+            expand cfg run st ~sleep:child_sleep ~from:(i + 1) r';
             explored := ISet.add a !explored
           end)
       si.si_enabled;
@@ -494,11 +517,11 @@ let rec expand cfg sc st ~sleep ~from r =
 
 (* --- counterexample minimization ----------------------------------- *)
 
-let minimize cfg sc ~cls journal0 =
+let minimize run ~cls journal0 =
   let runs = ref 0 in
   let try_ j =
     incr runs;
-    let r = run_branch cfg sc ~prefix:j in
+    let r = run ~prefix:j in
     if (not r.br_diverged) && O.same_class r.br_outcome cls then Some r else None
   in
   let j = ref journal0 in
@@ -570,7 +593,8 @@ let explore ?(config = default_config) sc =
       st_max_depth = 0;
     }
   in
-  let r0 = run_branch config sc ~prefix:"" in
+  let run = runner config sc in
+  let r0 = run ~prefix:"" in
   st.st_runs <- 1;
   let found =
     if r0.br_diverged then
@@ -578,7 +602,7 @@ let explore ?(config = default_config) sc =
     else if not (O.ok r0.br_outcome) then Some r0
     else
       try
-        expand config sc st ~sleep:ISet.empty ~from:0 r0;
+        expand config run st ~sleep:ISet.empty ~from:0 r0;
         None
       with Found r -> Some r
   in
@@ -601,7 +625,7 @@ let explore ?(config = default_config) sc =
           }
         in
         Some
-          (match minimize config sc ~cls r.br_journal with
+          (match minimize run ~cls r.br_journal with
           | Some (minj, confirm, mruns) ->
               st.st_runs <- st.st_runs + mruns;
               mk minj confirm.br_journal mruns
@@ -625,7 +649,7 @@ let explore ?(config = default_config) sc =
 
 (* Exposed for tests: one prescribed-prefix execution. *)
 let probe ?(config = default_config) sc ~prefix =
-  let r = run_branch config sc ~prefix in
+  let r = runner config sc ~prefix in
   (r.br_outcome, r.br_journal, r.br_diverged)
 
 (* --- replay artifacts ---------------------------------------------- *)
@@ -672,7 +696,7 @@ let replay ?(config = default_config) af =
   match find_scenario af.af_scenario with
   | None -> Error ("unknown scenario: " ^ af.af_scenario)
   | Some sc -> (
-      let r = run_branch config sc ~prefix:af.af_journal in
+      let r = runner config sc ~prefix:af.af_journal in
       if r.br_diverged then Error "journal diverged from the schedule it drives"
       else
         let cls = O.class_name r.br_outcome in

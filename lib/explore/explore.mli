@@ -3,12 +3,13 @@
 
     The deterministic SMP interleaver makes every scheduling decision a
     pure function of the schedule prefix, so the schedule {e tree} of a
-    bounded scenario can be enumerated without state capture: re-boot,
-    replay a journal prefix byte-for-byte, take the first runnable VCPU
-    beyond it, and record the runnable alternatives the run did not
-    take.  Depth-first backtracking over those alternatives — with
-    DPOR-style sleep-set pruning of commutative (invisible) steps and a
-    configurable branch budget — visits the interleavings of four
+    bounded scenario can be enumerated by re-running it: fork the
+    scenario's booted {!snapshot}, replay a journal prefix
+    byte-for-byte, take the first runnable VCPU beyond it, and record
+    the runnable alternatives the run did not take.  Depth-first
+    backtracking over those alternatives — with DPOR-style sleep-set
+    pruning of commutative (invisible) steps and a configurable branch
+    budget — visits the interleavings of four
     bounded scenarios, re-checking the chaos invariant classification
     plus cross-branch invariants (slog chain intact, IDCB sequence
     monotonicity, Dom_MON exclusivity, ring replay-cache consistency)
@@ -61,6 +62,25 @@ val weakened_scenarios : scenario list
     [all_scenarios]; a violation here is the expected outcome. *)
 
 val find_scenario : string -> scenario option
+
+(** {1 Snapshot-fork}
+
+    Each {!explore}, {!probe} and {!replay} call boots the scenario
+    once and starts every branch — DFS alternatives and minimization
+    retries alike — from a copy of that booted state. *)
+
+val boot : ?config:config -> scenario -> Veil_core.Boot.veil_system
+(** Boot plus AP bring-up under the scenario's fault plan (armed with
+    [sc_sites], seeded from [cf_seed]): the state every branch starts
+    from.  Raises whatever a failing boot raises. *)
+
+val snapshot : ?config:config -> scenario -> (string, Chaos_outcome.t) result
+(** {!boot} marshalled with closures, or the classified outcome of a
+    failed boot — which is then every branch's outcome. *)
+
+val fork : string -> Veil_core.Boot.veil_system
+(** An independent copy of a {!snapshot} image's system.  Runs one
+    major GC slice: unmarshalled words do not pace the major GC. *)
 
 (** {1 Exploration} *)
 

@@ -17,7 +17,10 @@ and file = { mutable data : bytes; mutable size : int }
 type t = {
   root : node;
   rng : Veil_crypto.Rng.t;
-  console : Buffer.t;
+  mutable console : string list;
+      (** writes to /dev/console, newest first: a [Buffer.t]'s unused
+          capacity is uninitialized memory, which would make two boots'
+          marshalled images differ (Veil-Explore forks from one) *)
   mutable next_ino : int;
 }
 
@@ -68,7 +71,7 @@ let create rng =
     {
       root = { ino = 1; kind = KDir (Hashtbl.create 16); mode = 0o755 };
       rng;
-      console = Buffer.create 256;
+      console = [];
       next_ino = 2;
     }
   in
@@ -93,7 +96,7 @@ let create rng =
   add_dev "/dev/console" "console";
   t
 
-let console_output t = Buffer.contents t.console
+let console_output t = String.concat "" (List.rev t.console)
 
 let mkdir t path =
   match lookup_parent t path with
@@ -275,7 +278,7 @@ let write_at t path ~pos data =
         match n.kind with
         | KDev "null" -> Ok len
         | KDev "console" ->
-            Buffer.add_bytes t.console data;
+            t.console <- Bytes.to_string data :: t.console;
             Ok len
         | KDev "urandom" -> Ok len
         | KDev _ -> Error Ktypes.EINVAL

@@ -36,19 +36,22 @@ let dummy =
 type t = {
   mutable on : bool;
   cap : int;
-  buf : event array;
+  mutable buf : event array;
+      (** [[||]] until first enabled: every platform owns a tracer, and
+          most never turn it on *)
   mutable total : int;  (** emitted since clear; write cursor = total mod cap *)
 }
 
-let create ?(capacity = 65536) () =
-  let cap = max 16 capacity in
-  { on = false; cap; buf = Array.make cap dummy; total = 0 }
+let create ?(capacity = 65536) () = { on = false; cap = max 16 capacity; buf = [||]; total = 0 }
 
-let set_enabled t b = t.on <- b
+let set_enabled t b =
+  if b && Array.length t.buf = 0 then t.buf <- Array.make t.cap dummy;
+  t.on <- b
+
 let enabled t = t.on
 
 let clear t =
-  Array.fill t.buf 0 t.cap dummy;
+  Array.fill t.buf 0 (Array.length t.buf) dummy;
   t.total <- 0
 
 let capacity t = t.cap

@@ -68,7 +68,9 @@ type t
 
 val create : ?capacity:int -> unit -> t
 (** Fresh tracer, disabled, with room for [capacity] (default 65536,
-    clamped to >= 16) events. *)
+    clamped to >= 16) events.  The ring itself is allocated by the
+    first [set_enabled t true], so a tracer that is never enabled costs
+    a few words. *)
 
 val set_enabled : t -> bool -> unit
 val enabled : t -> bool

@@ -49,8 +49,11 @@ let test_weakened_detect_minimize_replay () =
       Alcotest.(check string) "silent corruption class" "corrupt" cx.E.cx_class;
       Alcotest.(check bool) "journal not grown by minimization" true
         (String.length cx.E.cx_journal <= cx.E.cx_orig_len);
-      Alcotest.(check bool) "minimal reproducer is tiny" true
-        (String.length cx.E.cx_journal <= 3);
+      (* pinned from the reboot-per-branch explorer *)
+      Alcotest.(check (list int)) "found after / shrink runs" [ 3; 7 ]
+        [ cx.E.cx_found_after; cx.E.cx_shrink_runs ];
+      Alcotest.(check string) "minimized journal" "11" cx.E.cx_journal;
+      Alcotest.(check string) "confirming full journal" "110000" cx.E.cx_full;
       (* the default schedule passes: the bug is genuinely
          schedule-dependent, not a plain functional failure *)
       let o0, _, _ = E.probe sc ~prefix:"" in
@@ -65,6 +68,54 @@ let test_weakened_detect_minimize_replay () =
           match E.replay af with
           | Ok _ -> ()
           | Error e -> Alcotest.failf "minimized journal did not replay: %s" e))
+
+(* Reports of the reboot-per-branch explorer at budget 300, pinned as
+   the oracle for snapshot-fork exploration: (runs, branch points,
+   pruned, deferred, max depth). *)
+let test_reports_match_reboot_oracle () =
+  let config = { E.default_config with E.cf_budget = 300 } in
+  List.iter
+    (fun (name, expected) ->
+      let r = E.explore ~config (scenario name) in
+      Alcotest.(check bool) (name ^ ": no violation") true (r.E.rr_violation = None);
+      Alcotest.(check (list int)) name expected
+        [ r.E.rr_runs; r.E.rr_branch_points; r.E.rr_pruned; r.E.rr_deferred; r.E.rr_max_depth ])
+    [
+      ("ap-race", [ 35; 34; 0; 0; 7 ]);
+      ("oscall-replay", [ 126; 125; 0; 0; 9 ]);
+      ("ring-race", [ 56; 55; 0; 0; 8 ]);
+      ("rmp-shootdown", [ 300; 329; 39; 51; 12 ]);
+    ]
+
+(* A fork must be the state a fresh boot gives: the image equals an
+   independent boot's, and a fork re-marshals to the same bytes.  Boot
+   reading module-level state that the image does not carry (say
+   [Ltp.next_port] or [Libc.console_fd]), or leaving uninitialized
+   bytes in the graph, breaks one or the other. *)
+let test_fork_fidelity () =
+  let marshal sys = Marshal.to_string sys [ Marshal.Closures ] in
+  List.iter
+    (fun sc ->
+      let name = sc.E.sc_name in
+      match E.snapshot sc with
+      | Error o -> Alcotest.failf "%s: snapshot boot failed: %s" name (O.to_string o)
+      | Ok image ->
+          Alcotest.(check bool) (name ^ ": image = fresh boot") true
+            (String.equal image (marshal (E.boot sc)));
+          Alcotest.(check bool) (name ^ ": fork re-marshals to the image") true
+            (String.equal image (marshal (E.fork image))))
+    (E.all_scenarios @ E.weakened_scenarios)
+
+(* Unmarshalled words do not pace OCaml 5.1's major GC: without the
+   slice each fork runs, 300 rmp-shootdown branches grew the heap by
+   ~49 MB (~1 MB with it). *)
+let test_fork_gc_pacing () =
+  Gc.compact ();
+  let before = (Gc.quick_stat ()).Gc.heap_words in
+  let r = E.explore ~config:{ E.default_config with E.cf_budget = 300 } (scenario "rmp-shootdown") in
+  Alcotest.(check int) "300 branches ran" 300 r.E.rr_runs;
+  let grown_mb = ((Gc.quick_stat ()).Gc.heap_words - before) * (Sys.word_size / 8) / 1_048_576 in
+  if grown_mb >= 16 then Alcotest.failf "heap grew %d MB over 300 forks (bound 16 MB)" grown_mb
 
 let test_checked_in_journals_replay () =
   let dir = "journals" in
@@ -112,6 +163,9 @@ let suite =
     ("budget bound is reported as open frontier", `Quick, test_budget_bound_reported);
     ("prefix probe is deterministic", `Quick, test_probe_deterministic);
     ("weakened guard: detect, minimize, replay", `Quick, test_weakened_detect_minimize_replay);
+    ("reports match the reboot-per-branch oracle", `Quick, test_reports_match_reboot_oracle);
+    ("fork equals a fresh boot", `Quick, test_fork_fidelity);
+    ("forks pace the major GC", `Quick, test_fork_gc_pacing);
     ("checked-in journals replay byte-for-byte", `Quick, test_checked_in_journals_replay);
     ("artifact parser rejects garbage", `Quick, test_artifact_parse_rejects_garbage);
   ]

@@ -36,6 +36,20 @@ let test_clear () =
   Alcotest.(check int) "clear drops events" 0 (Tr.stored t);
   Alcotest.(check bool) "clear keeps the flag" true (Tr.enabled t)
 
+(* Every platform owns a tracer, and a Veil-Explore snapshot marshals
+   the whole platform: the ring must not exist until it is enabled. *)
+let test_lazy_ring () =
+  let t = (Sevsnp.Platform.create ~npages:64 ()).Sevsnp.Platform.tracer in
+  let words () = Obj.reachable_words (Obj.repr t) in
+  Alcotest.(check bool) "no ring before enable" true (words () < 64);
+  Tr.clear t;
+  Alcotest.(check int) "clear on a never-enabled tracer" 0 (Tr.stored t);
+  Tr.set_enabled t true;
+  Alcotest.(check bool) "ring allocated on enable" true (words () > Tr.capacity t);
+  Tr.emit t ~arg:7 ~vcpu:0 ~vmpl:0 ~ts:1 Tr.Vmenter;
+  Alcotest.(check (list int)) "records once enabled" [ 7 ]
+    (List.map (fun e -> e.Tr.ev_arg) (Tr.events t))
+
 (* Spans must survive the ring evicting their Begin records: emit
    enough nested spans to wrap a small ring, then close them all. *)
 let test_ring_wraparound_spans () =
@@ -655,6 +669,7 @@ let suite =
     Alcotest.test_case "ring wraparound across open spans" `Quick test_ring_wraparound_spans;
     Alcotest.test_case "disabled tracer is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "ring allocated on first enable" `Quick test_lazy_ring;
     Alcotest.test_case "span nesting well-formed" `Quick test_span_nesting;
     Alcotest.test_case "span misnesting detected" `Quick test_span_misnesting;
     Alcotest.test_case "orphan/open spans tolerated" `Quick test_span_open_and_orphan_tolerated;
