@@ -145,23 +145,66 @@ let shift_right (a : t) bits : t =
     end
   end
 
-(* Binary long division: walk from the top bit down, keeping a running
-   remainder; adequate for the simulator's <=1024-bit operands. *)
+(* Short division by a single limb: the running remainder times the
+   base plus one limb stays below 2^52. *)
+let divmod_limb (a : t) d : t * t =
+  let q = Array.make (Array.length a) 0 and r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    let x = (!r lsl limb_bits) lor Array.unsafe_get a i in
+    q.(i) <- x / d;
+    r := x mod d
+  done;
+  (normalize q, of_int !r)
+
+(* Schoolbook long division, one quotient limb per step (Knuth TAOCP
+   vol. 2, 4.3.1, Algorithm D).  Both operands are first shifted so the
+   divisor's top limb has its high bit set; the two-limb estimate of
+   each quotient limb is then at most 2 too large, the [qhat] loop
+   below removes all but a rare last 1, and an add-back fixes that. *)
 let divmod (a : t) (b : t) : t * t =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
+  else if Array.length b = 1 then divmod_limb a b.(0)
   else begin
-    let shift = bit_length a - bit_length b in
-    let q = Array.make (shift / limb_bits + 1) 0 in
-    let r = ref a and d = ref (shift_left b shift) in
-    for i = shift downto 0 do
-      if compare !r !d >= 0 then begin
-        r := sub !r !d;
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
+    let n = Array.length b and m = Array.length a - Array.length b in
+    let s = limb_bits - (bit_length b - ((n - 1) * limb_bits)) in
+    let v = shift_left b s and a' = shift_left a s in
+    let u = Array.make (m + n + 1) 0 and q = Array.make (m + 1) 0 in
+    Array.blit a' 0 u 0 (Array.length a');
+    let vtop = v.(n - 1) and vnext = v.(n - 2) in
+    for j = m downto 0 do
+      let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+      let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+      while
+        !rhat < limb_base
+        && (!qhat >= limb_base || !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + n - 2))
+      do
+        decr qhat;
+        rhat := !rhat + vtop
+      done;
+      (* u[j..j+n] -= qhat * v, with a signed borrow [k] *)
+      let k = ref 0 in
+      for i = 0 to n - 1 do
+        let p = !qhat * Array.unsafe_get v i in
+        let t = Array.unsafe_get u (i + j) - !k - (p land limb_mask) in
+        Array.unsafe_set u (i + j) (t land limb_mask);
+        k := (p lsr limb_bits) - (t asr limb_bits)
+      done;
+      let t = u.(j + n) - !k in
+      u.(j + n) <- t land limb_mask;
+      if t < 0 then begin
+        decr qhat;
+        let carry = ref 0 in
+        for i = 0 to n - 1 do
+          let t = Array.unsafe_get u (i + j) + Array.unsafe_get v i + !carry in
+          Array.unsafe_set u (i + j) (t land limb_mask);
+          carry := t lsr limb_bits
+        done;
+        u.(j + n) <- (u.(j + n) + !carry) land limb_mask
       end;
-      d := shift_right !d 1
+      q.(j) <- !qhat
     done;
-    (normalize q, !r)
+    (normalize q, shift_right (normalize (Array.sub u 0 n)) s)
   end
 
 let rem a b = snd (divmod a b)

@@ -29,21 +29,18 @@ let init () =
     w = Array.make 64 0;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (off + 4 * i)) lsl 24)
-      lor (Char.code (Bytes.get block (off + 4 * i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + 4 * i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + 4 * i + 3))
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
+    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
+    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+    Array.unsafe_set w i ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
@@ -51,7 +48,7 @@ let compress ctx block off =
   for i = 0 to 63 do
     let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
     let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
+    let t1 = (!hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i) land mask in
     let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
     let t2 = (s0 + maj) land mask in
@@ -103,18 +100,13 @@ let finalize ctx =
   in
   let pad = Bytes.make (pad_len + 8) '\000' in
   Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad (pad_len + i) (Char.chr ((total_bits lsr ((7 - i) * 8)) land 0xff))
-  done;
+  Bytes.set_int64_be pad pad_len (Int64.of_int total_bits);
   (* update would adjust [total]; that is harmless after length capture *)
   update ctx pad;
   assert (ctx.buf_len = 0);
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((ctx.h.(i) lsr 24) land 0xff));
-    Bytes.set out (4 * i + 1) (Char.chr ((ctx.h.(i) lsr 16) land 0xff));
-    Bytes.set out (4 * i + 2) (Char.chr ((ctx.h.(i) lsr 8) land 0xff));
-    Bytes.set out (4 * i + 3) (Char.chr (ctx.h.(i) land 0xff))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   out
 
@@ -125,7 +117,14 @@ let digest_bytes b =
 
 let digest_string s = digest_bytes (Bytes.unsafe_of_string s)
 
+let hex_digits = "0123456789abcdef"
+
 let hex_of_digest d =
-  let buf = Buffer.create (2 * Bytes.length d) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+  let n = Bytes.length d in
+  let out = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (Bytes.unsafe_get d i) in
+    Bytes.unsafe_set out (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set out ((2 * i) + 1) (String.unsafe_get hex_digits (c land 15))
+  done;
+  Bytes.unsafe_to_string out

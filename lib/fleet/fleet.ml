@@ -116,12 +116,7 @@ type report = {
   r_lb_journal : string;
 }
 
-let hex b =
-  let buf = Buffer.create (2 * Bytes.length b) in
-  Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
-  Buffer.contents buf
-
-let sha_hex s = hex (Veil_crypto.Sha256.digest_string s)
+let sha_hex s = Veil_crypto.Sha256.hex_of_digest (Veil_crypto.Sha256.digest_string s)
 
 let digit36 i = "0123456789abcdefghijklmnopqrstuvwxyz".[i mod 36]
 
@@ -457,7 +452,7 @@ let digest_state g =
            (Mcache.misses store) (Mcache.evictions store));
       for i = 0 to 63 do
         match Mcache.get store (Printf.sprintf "key%d" i) with
-        | Some v -> Buffer.add_string buf (hex (Veil_crypto.Sha256.digest_string (Bytes.to_string v)))
+        | Some v -> Buffer.add_string buf (sha_hex (Bytes.to_string v))
         | None -> Buffer.add_string buf "-"
       done
   | St_sql { db; _ } -> (

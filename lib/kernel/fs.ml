@@ -12,7 +12,46 @@ and kind_impl =
   | KDev of string
   | KSymlink of string
 
-and file = { mutable data : bytes; mutable size : int }
+(* File data lives in [chunk]-byte pieces, so growth never copies
+   stored bytes.  Chunk [i] is allocated, zero-filled, once the size
+   reaches into it ([i < chunks_for size]); slots beyond hold
+   [Bytes.empty].  Bytes at or past [size] are always zero, so growing
+   the file exposes zeros without a fill. *)
+and file = { mutable chunks : bytes array; mutable size : int }
+
+let chunk = 4096
+
+let chunks_for size = (size + chunk - 1) / chunk
+
+(* Set the size to [len], allocating only the chunks it newly reaches
+   or zeroing the bytes it cuts off and dropping emptied chunks. *)
+let resize f len =
+  let have = chunks_for f.size and want = chunks_for len in
+  if want > Array.length f.chunks then begin
+    let grown = Array.make (max want (2 * Array.length f.chunks)) Bytes.empty in
+    Array.blit f.chunks 0 grown 0 have;
+    f.chunks <- grown
+  end;
+  for i = have to want - 1 do
+    f.chunks.(i) <- Bytes.make chunk '\000'
+  done;
+  if len < f.size then begin
+    if len mod chunk > 0 then
+      Bytes.fill f.chunks.(want - 1) (len mod chunk) (min f.size (want * chunk) - len) '\000';
+    Array.fill f.chunks want (have - want) Bytes.empty
+  end;
+  f.size <- len
+
+(* [g c coff off n] for each piece of bytes [pos, pos + len) of [f]:
+   [n] bytes at [coff] in chunk [c], at [off] from [pos]. *)
+let iter_chunks f ~pos ~len g =
+  let pos = ref pos and off = ref 0 in
+  while !off < len do
+    let n = min (len - !off) (chunk - (!pos mod chunk)) in
+    g f.chunks.(!pos / chunk) (!pos mod chunk) !off n;
+    pos := !pos + n;
+    off := !off + n
+  done
 
 type t = {
   root : node;
@@ -30,7 +69,7 @@ let fresh_ino t =
   i
 
 let new_dir t = { ino = fresh_ino t; kind = KDir (Hashtbl.create 8); mode = 0o755 }
-let new_file t ~mode = { ino = fresh_ino t; kind = KFile { data = Bytes.create 64; size = 0 }; mode }
+let new_file t ~mode = { ino = fresh_ino t; kind = KFile { chunks = [||]; size = 0 }; mode }
 
 let split_path path =
   String.split_on_char '/' path |> List.filter (fun s -> s <> "" && s <> ".")
@@ -231,15 +270,7 @@ let truncate t path len =
   if len < 0 then Error Ktypes.EINVAL
   else
     with_file t path (fun f ->
-        if len > f.size then begin
-          if len > Bytes.length f.data then begin
-            let nd = Bytes.make (max len (2 * Bytes.length f.data)) '\000' in
-            Bytes.blit f.data 0 nd 0 f.size;
-            f.data <- nd
-          end
-          else Bytes.fill f.data f.size (len - f.size) '\000'
-        end;
-        f.size <- len;
+        resize f len;
         Ok ())
 
 let readdir t path =
@@ -265,7 +296,12 @@ let read_at t path ~pos ~len =
         | KSymlink _ -> Error Ktypes.EINVAL
         | KFile f ->
             if pos >= f.size then Ok Bytes.empty
-            else Ok (Bytes.sub f.data pos (min len (f.size - pos))))
+            else begin
+              let len = min len (f.size - pos) in
+              let out = Bytes.create len in
+              iter_chunks f ~pos ~len (fun c coff off n -> Bytes.blit c coff out off n);
+              Ok out
+            end)
   end
 
 let write_at t path ~pos data =
@@ -285,15 +321,8 @@ let write_at t path ~pos data =
         | KDir _ -> Error Ktypes.EISDIR
         | KSymlink _ -> Error Ktypes.EINVAL
         | KFile f ->
-            let needed = pos + len in
-            if needed > Bytes.length f.data then begin
-              let nd = Bytes.make (max needed (2 * Bytes.length f.data)) '\000' in
-              Bytes.blit f.data 0 nd 0 f.size;
-              f.data <- nd
-            end;
-            if pos > f.size then Bytes.fill f.data f.size (pos - f.size) '\000';
-            Bytes.blit data 0 f.data pos len;
-            f.size <- max f.size needed;
+            if pos + len > f.size then resize f (pos + len);
+            iter_chunks f ~pos ~len (fun c coff off n -> Bytes.blit data off c coff n);
             Ok len)
   end
 

@@ -865,8 +865,8 @@ let dispatch t (proc : Process.t) (sys : Sysno.t) (args : Ktypes.arg list) : Kty
 
 let audit_detail (proc : Process.t) args =
   let buf = Buffer.create 64 in
-  Buffer.add_string buf (Printf.sprintf "uid=%d euid=%d" proc.Process.uid proc.Process.euid);
-  List.iteri (fun i a -> Buffer.add_string buf (Format.asprintf " a%d=%a" i Ktypes.pp_arg a)) args;
+  Printf.bprintf buf "uid=%d euid=%d" proc.Process.uid proc.Process.euid;
+  List.iteri (fun i a -> Printf.bprintf buf " a%d=%a" i Ktypes.bprint_arg a) args;
   Buffer.contents buf
 
 let invoke t proc sys args =

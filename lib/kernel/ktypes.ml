@@ -85,11 +85,16 @@ let ret_int = function
   | RErr e -> Error e
   | RBuf _ | RStat _ -> Error EINVAL
 
-let pp_arg fmt = function
-  | Int n -> Format.fprintf fmt "%d" n
-  | Str s -> Format.fprintf fmt "%S" s
-  | Buf b -> Format.fprintf fmt "<buf:%d>" (Bytes.length b)
-  | Ptr p -> Format.fprintf fmt "0x%x" p
+let bprint_arg buf = function
+  | Int n -> Printf.bprintf buf "%d" n
+  | Str s -> Printf.bprintf buf "%S" s
+  | Buf b -> Printf.bprintf buf "<buf:%d>" (Bytes.length b)
+  | Ptr p -> Printf.bprintf buf "0x%x" p
+
+let pp_arg fmt a =
+  let buf = Buffer.create 16 in
+  bprint_arg buf a;
+  Format.pp_print_string fmt (Buffer.contents buf)
 
 let pp_ret fmt = function
   | RInt n -> Format.fprintf fmt "%d" n

@@ -51,5 +51,9 @@ val ret_errno : ret -> errno option
 val ret_int : ret -> (int, errno) result
 (** [Error EINVAL] when the return is not an int shape. *)
 
+val bprint_arg : Buffer.t -> arg -> unit
+(** The argument as the audit log renders it: [%d], [%S], [<buf:LEN>]
+    or [0x%x]. *)
+
 val pp_arg : Format.formatter -> arg -> unit
 val pp_ret : Format.formatter -> ret -> unit

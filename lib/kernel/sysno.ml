@@ -54,18 +54,23 @@ let all = List.map (fun (t, _, _) -> t) table
 
 let count = List.length all
 
+let by_call = Hashtbl.create 128
+let () = List.iter (fun ((t, _, _) as e) -> Hashtbl.replace by_call t e) table
+
 let number t =
-  let _, n, _ = List.find (fun (x, _, _) -> x = t) table in
+  let _, n, _ = Hashtbl.find by_call t in
   n
 
 let to_string t =
-  let _, _, s = List.find (fun (x, _, _) -> x = t) table in
+  let _, _, s = Hashtbl.find by_call t in
   s
 
 let of_string s =
   List.find_opt (fun (_, _, n) -> n = s) table |> Option.map (fun (t, _, _) -> t)
 
-let compare a b = Stdlib.compare (number a) (number b)
+(* The constructors are declared in [table] order, which is ascending
+   syscall number, so the constructors' own order is numeric order. *)
+let compare (a : t) b = Stdlib.compare a b
 let equal (a : t) b = a = b
 let hash t = number t
 

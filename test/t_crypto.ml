@@ -37,6 +37,12 @@ let test_sha256_block_boundaries () =
         (hex (Sha256.finalize ctx)))
     [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 127; 128; 129 ]
 
+let test_hex_of_digest () =
+  let all = Bytes.init 256 Char.chr in
+  let reference = String.concat "" (List.init 256 (Printf.sprintf "%02x")) in
+  Alcotest.(check string) "every byte value" reference (Sha256.hex_of_digest all);
+  Alcotest.(check string) "empty" "" (Sha256.hex_of_digest Bytes.empty)
+
 (* --- HMAC-SHA256 (RFC 4231) --- *)
 
 let test_hmac_rfc4231 () =
@@ -80,8 +86,29 @@ let test_chacha20_rfc_encrypt () =
   in
   let ct = Chacha20.encrypt ~key ~nonce ~counter:1 (Bytes.of_string pt) in
   Alcotest.(check string)
-    "rfc8439 2.4.2 first 16 ct bytes" "6e2e359a2568f98041ba0728dd0d6981"
-    (hex (Bytes.sub ct 0 16))
+    "rfc8439 2.4.2 ciphertext"
+    ("6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+   ^ "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+   ^ "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+   ^ "5af90bbf74a35be6b40b8eedf2785e42874d")
+    (hex ct)
+
+(* [encrypt] is the input XORed with consecutive [block]s from the
+   starting counter, for partial and whole blocks alike. *)
+let chacha_matches_blocks =
+  QCheck.Test.make ~name:"chacha20 encrypt = xor with consecutive blocks" ~count:100
+    QCheck.(triple (0 -- 300) small_nat (0 -- 0xFFFF_FFFF))
+    (fun (len, seed, counter) ->
+      let rng = Rng.create seed in
+      let key = Rng.bytes rng 32 and nonce = Rng.bytes rng 12 and data = Rng.bytes rng len in
+      let expected =
+        Bytes.mapi
+          (fun i c ->
+            let ks = Chacha20.block ~key ~nonce ~counter:(counter + (i / 64)) in
+            Char.chr (Char.code c lxor Char.code (Bytes.get ks (i mod 64))))
+          data
+      in
+      Bytes.equal expected (Chacha20.encrypt ~key ~nonce ~counter data))
 
 let chacha_roundtrip =
   QCheck.Test.make ~name:"chacha20 roundtrip" ~count:100
@@ -122,12 +149,25 @@ let bignum_mul_matches_int =
   QCheck.Test.make ~name:"bignum mul matches int" ~count:200 bignum_pair (fun (a, b) ->
       Bignum.to_int_opt (Bignum.mul (bn a) (bn b)) = Some (a * b))
 
+(* Operands of 1 to 16 limbs (26 bits each, so up to 416 bits), with the
+   limbs 0, 1 and 2^26 - 1 over-represented: they drive the quotient
+   estimate's corrections and the add-back step of long division. *)
+let bignum_gen =
+  let limb =
+    QCheck.Gen.(frequency [ (1, return 0); (1, return 1); (1, return 0x3FF_FFFF); (3, 0 -- 0x3FF_FFFF) ])
+  in
+  QCheck.Gen.map
+    (List.fold_left (fun acc l -> Bignum.add (Bignum.shift_left acc 26) (bn l)) Bignum.zero)
+    QCheck.Gen.(list_size (1 -- 16) limb)
+
 let bignum_divmod_identity =
-  QCheck.Test.make ~name:"bignum a = q*b + r, r < b" ~count:200
-    (QCheck.make QCheck.Gen.(pair small (1 -- 100_000)))
+  QCheck.Test.make ~name:"bignum a = q*b + r, r < b" ~count:2000
+    (QCheck.make ~print:(fun (a, b) -> Bignum.to_hex a ^ " / " ^ Bignum.to_hex b)
+       QCheck.Gen.(pair bignum_gen bignum_gen))
     (fun (a, b) ->
-      let q, r = Bignum.divmod (bn a) (bn b) in
-      Bignum.equal (bn a) (Bignum.add (Bignum.mul q (bn b)) r) && Bignum.compare r (bn b) < 0)
+      QCheck.assume (not (Bignum.is_zero b));
+      let q, r = Bignum.divmod a b in
+      Bignum.equal a (Bignum.add (Bignum.mul q b) r) && Bignum.compare r b < 0)
 
 let bignum_shift_roundtrip =
   QCheck.Test.make ~name:"bignum shift left then right" ~count:200
@@ -184,6 +224,27 @@ let test_group_structure () =
   let gq = Bignum.powmod ~base:g.Group.g ~exp:g.Group.q ~modulus:g.Group.p in
   Alcotest.(check bool) "g^q = 1" true (Bignum.equal gq Bignum.one);
   Alcotest.(check bool) "g <> 1" false (Bignum.equal g.Group.g Bignum.one)
+
+(* Pinned outputs: the group, the key pairs and the launch measurement
+   are derived from seeded PRNG draws through the Bignum and SHA-256
+   kernels, so any change to those kernels' results shows here. *)
+let test_group_pinned () =
+  let g = Group.default () in
+  Alcotest.(check string) "p" "c996ce6bd23b517ea7a61cbb" (Bignum.to_hex g.Group.p);
+  Alcotest.(check string) "q" "64cb6735e91da8bf53d30e5d" (Bignum.to_hex g.Group.q);
+  Alcotest.(check string) "g" "e58b5989bb57849d4b4cbe8" (Bignum.to_hex g.Group.g)
+
+let test_keygen_pinned () =
+  Alcotest.(check string) "schnorr public" "77dad5703268ef75f56ed3ab"
+    (Bignum.to_hex (Schnorr.keygen (Rng.create 7)).Schnorr.public);
+  Alcotest.(check string) "dh public" "b2ade91bf12ffb62b39ad172"
+    (Bignum.to_hex (Dh.keygen (Rng.create 7)).Dh.public)
+
+let test_launch_measurement_pinned () =
+  let sys = Veil_core.Boot.boot_veil ~npages:2048 ~seed:7 () in
+  Alcotest.(check (option string)) "launch measurement"
+    (Some "d6870a1d3685710e0c1e21261c0930be90766f756702b6d5dc694ac27163d0fd")
+    (Option.map hex (Sevsnp.Attestation.launch_measurement sys.Veil_core.Boot.platform.Sevsnp.Platform.attestation))
 
 let test_dh_agreement () =
   let rng = Rng.create 21 in
@@ -246,6 +307,28 @@ let test_rng_deterministic () =
   let c = Rng.create 8 in
   Alcotest.(check bool) "different seed differs" false (Rng.next64 (Rng.create 7) = Rng.next64 c)
 
+let test_rng_pinned () =
+  let r = Rng.create 7 in
+  Alcotest.(check string) "first 32 bytes" "7587807276843dbfd8dabacbd30c797eabb18dbe0bb3e73f8c7aae17d1079e2b"
+    (hex (Rng.bytes r 32));
+  Alcotest.(check int64) "next64 after them" 0x62184fdaeffa95c8L (Rng.next64 r)
+
+let rng_bytes_are_byte_draws =
+  QCheck.Test.make ~name:"rng bytes = byte draws, same state after" ~count:200
+    QCheck.(pair small_nat (0 -- 300))
+    (fun (seed, n) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let drawn = Bytes.init n (fun _ -> Char.chr (Rng.byte b)) in
+      Bytes.equal (Rng.bytes a n) drawn && Rng.next64 a = Rng.next64 b)
+
+let test_rng_bytes_unboxed () =
+  let r = Rng.create 7 in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Rng.bytes r 4096));
+  let words = Gc.minor_words () -. before in
+  (* the 4 KiB result is allocated in the major heap *)
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words for 4096 bytes" words) true (words < 64.)
+
 let rng_int_bounds =
   QCheck.Test.make ~name:"rng int within bounds" ~count:300
     (QCheck.make QCheck.Gen.(pair small_nat (1 -- 10000)))
@@ -266,6 +349,8 @@ let suite =
     ("chacha20 RFC 8439 block", `Quick, test_chacha20_block);
     ("chacha20 RFC 8439 encrypt", `Quick, test_chacha20_rfc_encrypt);
     q chacha_roundtrip;
+    q chacha_matches_blocks;
+    ("sha256 hex_of_digest", `Quick, test_hex_of_digest);
     ("bignum basics", `Quick, test_bignum_basic);
     ("bignum underflow/divzero", `Quick, test_bignum_underflow);
     q bignum_add_comm;
@@ -277,10 +362,16 @@ let suite =
     ("bignum Miller-Rabin", `Quick, test_bignum_primality);
     ("bignum large multiply", `Quick, test_bignum_large_mul);
     ("schnorr group structure", `Slow, test_group_structure);
+    ("group pinned", `Quick, test_group_pinned);
+    ("keygen pinned", `Quick, test_keygen_pinned);
+    ("launch measurement pinned", `Quick, test_launch_measurement_pinned);
     ("dh agreement", `Quick, test_dh_agreement);
     ("schnorr sign/verify", `Quick, test_schnorr_sign_verify);
     ("schnorr serialization", `Quick, test_schnorr_serialization);
     ("measurement framing", `Quick, test_measurement_framing);
     ("rng determinism", `Quick, test_rng_deterministic);
+    ("rng pinned", `Quick, test_rng_pinned);
+    q rng_bytes_are_byte_draws;
+    ("rng bytes boxes no int64", `Quick, test_rng_bytes_unboxed);
     q rng_int_bounds;
   ]

@@ -38,6 +38,10 @@ let test_sysno_table () =
     (List.for_all (fun s -> S.of_string (S.to_string s) = Some s) S.all);
   let uniq = List.sort_uniq compare (List.map S.number S.all) in
   Alcotest.(check int) "numbers unique" 96 (List.length uniq);
+  (* [compare] orders constructors, which must stay declared in
+     ascending-number order *)
+  Alcotest.(check bool) "compare is number order" true
+    (List.for_all (fun a -> List.for_all (fun b -> S.compare a b = Int.compare (S.number a) (S.number b)) S.all) S.all);
   Alcotest.(check int) "audit ruleset size (§9.2 footnote)" 44 (List.length S.audit_default_ruleset)
 
 (* --- fs --- *)
@@ -340,6 +344,49 @@ let fs_random_ops =
           | Error _ -> Bytes.length data = 0)
         model true)
 
+(* File data sits in 4 KiB chunks: writes, holes and truncations that
+   straddle chunk edges must read back like one flat byte array. *)
+let fs_chunked_file =
+  let op =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun pos len -> `Write (pos, len)) (0 -- 12_000) (0 -- 5_000);
+          map (fun len -> `Truncate len) (0 -- 12_000);
+        ])
+  in
+  QCheck.Test.make ~name:"fs file reads like flat bytes across chunk edges" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (1 -- 20) op))
+    (fun ops ->
+      let fs = Fs.create (Veil_crypto.Rng.create 9) in
+      ignore (Fs.create_file fs "/tmp/f" ~mode:0o644);
+      let model = ref Bytes.empty in
+      let resize n =
+        let b = Bytes.make n '\000' in
+        Bytes.blit !model 0 b 0 (min n (Bytes.length !model));
+        model := b
+      in
+      List.iteri
+        (fun i op ->
+          match op with
+          | `Write (pos, len) ->
+              let data = Bytes.make len (Char.chr (65 + (i mod 26))) in
+              ignore (Fs.write_at fs "/tmp/f" ~pos data);
+              if pos + len > Bytes.length !model then resize (pos + len);
+              Bytes.blit data 0 !model pos len
+          | `Truncate len ->
+              ignore (Fs.truncate fs "/tmp/f" len);
+              resize len)
+        ops;
+      let size = Bytes.length !model in
+      Fs.size_of fs "/tmp/f" = Ok size
+      && List.for_all
+           (fun pos ->
+             match Fs.read_at fs "/tmp/f" ~pos ~len:(size + 1) with
+             | Ok b -> Bytes.equal b (if pos >= size then Bytes.empty else Bytes.sub !model pos (size - pos))
+             | Error _ -> false)
+           [ 0; 1; 4095; 4096; 4097; size / 3; size ])
+
 let suite =
   [
     ("sysno table", `Quick, test_sysno_table);
@@ -347,6 +394,7 @@ let suite =
     ("fs tree operations", `Quick, test_fs_tree_ops);
     ("fs devices", `Quick, test_fs_devices);
     q fs_random_ops;
+    q fs_chunked_file;
     ("sys file io", `Quick, test_sys_file_io);
     ("sys open flags", `Quick, test_sys_open_flags);
     ("sys append mode", `Quick, test_sys_append_mode);
