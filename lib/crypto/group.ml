@@ -22,7 +22,11 @@ let generate ?(bits = 96) rng =
 
 let default_group = lazy (generate (Rng.create 0x5EC0DE))
 
-let default () = Lazy.force default_group
+(* Forcing a [lazy] from two domains at once raises [Lazy.Undefined]
+   in the loser, so every force goes through this mutex. *)
+let default_lock = Mutex.create ()
+
+let default () = Mutex.protect default_lock (fun () -> Lazy.force default_group)
 
 let element_of_bytes t b =
   let h = Bignum.of_bytes_be (Sha256.digest_bytes b) in

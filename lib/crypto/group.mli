@@ -13,7 +13,9 @@ val generate : ?bits:int -> Rng.t -> t
     order-q subgroup. *)
 
 val default : unit -> t
-(** The lazily generated, process-wide simulation group. *)
+(** The lazily generated, process-wide simulation group.  Safe to call
+    from any domain: the first call builds it, concurrent callers wait
+    for that build. *)
 
 val element_of_bytes : t -> bytes -> Bignum.t
 (** Hash a byte string into the exponent range [1, q). *)

@@ -8,7 +8,12 @@
    lane choice would depend on how arrivals were thinned across
    co-tenants), and then neither the wait-ledger isolation test nor
    the cross-tenant oracle could demand bit-identical victim numbers.
-   The queue model is per-lane FCFS under round-robin dispatch. *)
+   The queue model is per-lane FCFS under round-robin dispatch.
+
+   Execution: each isolation group — one guest, or every guest when a
+   least-loaded pick or an ambient fault plan couples them — lives its
+   whole lifetime as one task on an OCaml 5 domain ([run], DESIGN.md
+   §15). *)
 
 module Arrival = Arrival
 module T = Sevsnp.Types
@@ -263,10 +268,12 @@ let setup_workload cfg env cli rng =
       done;
       St_sql { db; next_row = 0 }
 
-let boot_guest cfg id =
+let boot_guest cfg ~ambient id =
   let seed = guest_seed cfg id in
   let plan = if cfg.chaos then Some (derived_plan seed) else None in
-  let sys = B.boot_veil ~npages:guest_npages ~seed ?chaos:plan () in
+  let sys =
+    B.boot_veil ~npages:guest_npages ~seed ?chaos:(if cfg.chaos then plan else ambient) ()
+  in
   let smp = Smp.bring_up sys ~nvcpus:cfg.vcpus () in
   if cfg.rings then B.enable_rings sys ();
   let kernel = sys.B.kernel in
@@ -512,72 +519,151 @@ let finish cfg g =
 
 (* --- the drive loop --- *)
 
-let pick_guest cfg guests rr =
-  match cfg.lb with
-  | Round_robin ->
-      let i = !rr mod Array.length guests in
-      incr rr;
-      i
-  | Least_loaded ->
-      let best = ref 0 and best_free = ref max_int in
-      Array.iteri
-        (fun i g ->
+(* The position of the guest whose earliest-free lane frees first.  It
+   reads every guest's lanes, so it runs only when all guests share one
+   group. *)
+let least_loaded slots =
+  let best = ref 0 and best_free = ref max_int in
+  Array.iteri
+    (fun i -> function
+      | Some g ->
           let free = Array.fold_left min max_int g.g_lanes in
           if free < !best_free then begin
             best := i;
             best_free := free
-          end)
-        guests;
-      !best
+          end
+      | None -> ())
+    slots;
+  !best
+
+(* Serve a group's share of the schedule in request order.  [slots]
+   holds the group's guests at their fleet positions, [due] the
+   open-loop arrival clock of every request.  Returns the (request,
+   guest digit) picks it served. *)
+let serve_share cfg due slots =
+  let picks = ref [] in
+  for k = 0 to cfg.requests - 1 do
+    let pos =
+      match (cfg.mode, cfg.lb) with
+      | Open_loop, Least_loaded -> least_loaded slots
+      | _ -> k mod cfg.guests
+    in
+    match slots.(pos) with
+    | None -> () (* another group's request *)
+    | Some g -> (
+        picks := (k, digit36 g.g_id) :: !picks;
+        let lane, svc = serve_measured cfg g in
+        match cfg.mode with
+        | Open_loop ->
+            let start = max due.(k) g.g_lanes.(lane) in
+            g.g_lanes.(lane) <- start + svc;
+            M.observe g.g_lat (start + svc - due.(k))
+        | Closed_loop ->
+            (* one back-to-back client per lane: the next request is
+               only offered when the previous one finished, so reported
+               latency is pure service time — the waiting that
+               open-loop arrivals would have suffered is coordinately
+               omitted *)
+            g.g_lanes.(lane) <- g.g_lanes.(lane) + svc;
+            M.observe g.g_lat svc)
+  done;
+  !picks
+
+(* What a group hands back.  Nothing in it references a guest, so each
+   platform can be collected as soon as its group returns. *)
+type outcome = {
+  o_reports : guest_report list;
+  o_metrics : M.t list;
+  o_wall : int;
+  o_picks : (int * char) list;
+}
+
+(* A group's whole lifetime: boot its guests, serve their share, tear
+   them down. *)
+let run_group cfg ~ambient ~due members =
+  let slots = Array.make cfg.guests None in
+  List.iter
+    (fun pos -> slots.(pos) <- Some (boot_guest cfg ~ambient (cfg.first_guest + pos)))
+    members;
+  let picks = serve_share cfg due slots in
+  let guests = List.filter_map (fun pos -> slots.(pos)) members in
+  let reports = List.map (finish cfg) guests in
+  {
+    o_reports = reports;
+    (* detached copies: a live registry's refresh hook captures its
+       platform and would keep the whole guest alive *)
+    o_metrics = List.map (fun g -> M.merge [ g.g_sys.B.platform.P.metrics ]) guests;
+    o_wall = List.fold_left (fun acc g -> Array.fold_left max acc g.g_lanes) 0 guests;
+    o_picks = picks;
+  }
 
 let validate cfg =
   if cfg.guests < 1 then invalid_arg "Fleet.run: guests >= 1";
   if cfg.vcpus < 1 || cfg.vcpus > 8 then invalid_arg "Fleet.run: vcpus in 1..8";
   if cfg.requests < 1 then invalid_arg "Fleet.run: requests >= 1"
 
+(* [task i] for every i in [0, n), on up to [recommended_domain_count]
+   domains counting the calling one.  Each domain takes the next index
+   from a shared counter.  Results come back in index order once every
+   domain has joined; if tasks raised, the lowest-numbered one's
+   exception is re-raised. *)
+let run_tasks n task =
+  let next = Atomic.make 0 in
+  let rec work acc =
+    let i = Atomic.fetch_and_add next 1 in
+    if i >= n then acc
+    else
+      let r = try Ok (task i) with e -> Error (e, Printexc.get_raw_backtrace ()) in
+      work ((i, r) :: acc)
+  in
+  let helpers =
+    List.init
+      (min n (Domain.recommended_domain_count ()) - 1)
+      (fun _ -> Domain.spawn (fun () -> work []))
+  in
+  let mine = work [] in
+  List.concat (mine :: List.map Domain.join helpers)
+  |> List.sort (fun (i, _) (j, _) -> compare i j)
+  |> List.map (function _, Ok v -> v | _, Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+
 let run cfg =
   validate cfg;
-  let guests = Array.init cfg.guests (fun i -> boot_guest cfg (cfg.first_guest + i)) in
-  let arr = Arrival.make ~seed:cfg.seed ~stream:0 cfg.process in
-  let lbj = Buffer.create cfg.requests in
-  (match cfg.mode with
-  | Open_loop ->
-      let clock = ref 0 and rr = ref 0 in
-      for _ = 1 to cfg.requests do
-        clock := !clock + Arrival.next_gap arr;
-        let g = guests.(pick_guest cfg guests rr) in
-        Buffer.add_char lbj (digit36 g.g_id);
-        let lane, svc = serve_measured cfg g in
-        let start = max !clock g.g_lanes.(lane) in
-        g.g_lanes.(lane) <- start + svc;
-        M.observe g.g_lat (start + svc - !clock)
-      done
-  | Closed_loop ->
-      (* one back-to-back client per lane: the next request is only
-         offered when the previous one finished, so reported latency
-         is pure service time — the waiting that open-loop arrivals
-         would have suffered is coordinately omitted *)
-      for i = 0 to cfg.requests - 1 do
-        let g = guests.(i mod cfg.guests) in
-        Buffer.add_char lbj (digit36 g.g_id);
-        let lane, svc = serve_measured cfg g in
-        g.g_lanes.(lane) <- g.g_lanes.(lane) + svc;
-        M.observe g.g_lat svc
-      done);
-  let reports = Array.map (finish cfg) guests in
-  let wall =
-    Array.fold_left
-      (fun acc g -> Array.fold_left max acc g.g_lanes)
-      0 guests
+  (* Resolved once, here: guests booted without their own plan all arm
+     this one, so they consume one shared stream of fault draws. *)
+  let ambient = if cfg.chaos then None else !B.default_chaos () in
+  let due =
+    match cfg.mode with
+    | Closed_loop -> [||]
+    | Open_loop ->
+        let arr = Arrival.make ~seed:cfg.seed ~stream:0 cfg.process in
+        let clock = ref 0 in
+        Array.init cfg.requests (fun _ ->
+            clock := !clock + Arrival.next_gap arr;
+            !clock)
   in
-  let merged = M.merge (Array.to_list (Array.map (fun g -> g.g_sys.B.platform.P.metrics) guests)) in
+  (* Isolation groups: every guest alone, unless a least-loaded pick or
+     a shared fault plan couples them — then all of them, request by
+     request (DESIGN.md §15). *)
+  let positions = List.init cfg.guests Fun.id in
+  let groups =
+    if Option.is_some ambient || (cfg.mode = Open_loop && cfg.lb = Least_loaded) then
+      [| positions |]
+    else Array.of_list (List.map (fun pos -> [ pos ]) positions)
+  in
+  let outcomes =
+    run_tasks (Array.length groups) (fun i -> run_group cfg ~ambient ~due groups.(i))
+  in
+  let lbj = Bytes.make cfg.requests '?' in
+  List.iter (fun o -> List.iter (fun (k, d) -> Bytes.set lbj k d) o.o_picks) outcomes;
+  let wall = List.fold_left (fun acc o -> max acc o.o_wall) 0 outcomes in
+  let merged = M.merge (List.concat_map (fun o -> o.o_metrics) outcomes) in
   let mlat =
     match M.find merged "fleet.sojourn_cycles" with
     | Some (M.Histogram h) -> h
     | _ -> failwith "Fleet.run: merged registry lost the sojourn histogram"
   in
   {
-    r_guests = reports;
+    r_guests = Array.of_list (List.concat_map (fun o -> o.o_reports) outcomes);
     r_mode = cfg.mode;
     r_workload = cfg.workload;
     r_vcpus = cfg.vcpus;
@@ -591,7 +677,7 @@ let run cfg =
     r_p999 = M.percentile mlat 99.9;
     r_mean = M.mean mlat;
     r_merged_digest = sha_hex (M.dump merged);
-    r_lb_journal = Buffer.contents lbj;
+    r_lb_journal = Bytes.to_string lbj;
   }
 
 let calibrate cfg =

@@ -118,7 +118,10 @@ type report = {
 val run : config -> report
 (** Boot the fleet, drive the traffic, tear down, and report.
     Deterministic: identical [config] -> identical report (journals,
-    digests, and every number). *)
+    digests, and every number).  Guests that nothing couples each run
+    their whole lifetime as one task, on up to
+    [Domain.recommended_domain_count ()] domains; the report does not
+    depend on how many. *)
 
 val calibrate : config -> float
 (** Mean service cycles per request of this workload at these

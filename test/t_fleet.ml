@@ -282,6 +282,70 @@ let test_fleet_coordinated_omission () =
     true
     (open_.Fleet.r_throughput < open_.Fleet.r_offered)
 
+(* --- pinned reports --- *)
+
+(* The first 16 hex digits of the SHA-256 of the JSON report and of the
+   load-balancer journal.  Any change to how the fleet schedules its
+   guests (order, grouping, parallelism) must leave these bytes alone. *)
+let pin s =
+  String.sub (Veil_crypto.Sha256.hex_of_digest (Veil_crypto.Sha256.digest_string s)) 0 16
+
+let check_pins tag cfg ~report ~journal =
+  let r = Fleet.run cfg in
+  Alcotest.(check string) (tag ^ ": report") report (pin (Fleet.report_json r));
+  Alcotest.(check string) (tag ^ ": lb journal") journal (pin r.Fleet.r_lb_journal)
+
+let test_fleet_pinned_reports () =
+  let pins =
+    [
+      ("quick", quick_cfg, "e4874341bd567bbc", "5e3a1af513cb5ea4");
+      ( "rings+pulse+chaos",
+        { quick_cfg with rings = true; pulse = Some 300_000; chaos = true; requests = 40 },
+        "a0415da5c2a991b4",
+        "e1516692d9f536a9" );
+      ( "hostile",
+        { quick_cfg with guests = 3; hostile = Some 0; requests = 72 },
+        "03f1c05b454dac6e",
+        "e434be915e35c256" );
+      ( "least-loaded",
+        { quick_cfg with guests = 3; lb = Fleet.Least_loaded; requests = 90 },
+        "48d42a261f9b827b",
+        "0e4991bffc802942" );
+      ( "closed loop",
+        { quick_cfg with guests = 3; mode = Fleet.Closed_loop; requests = 90 },
+        "1c9918d4b02892d6",
+        "4ed176ff8c80727c" );
+      ( "memcached mmpp",
+        {
+          quick_cfg with
+          guests = 5;
+          workload = Fleet.Memcached;
+          requests = 100;
+          process = A.Mmpp { low = 1000.0; high = 8000.0; dwell_low = 0.01; dwell_high = 0.002 };
+        },
+        "eeb889bd8941e93f",
+        "9fdf78e78f851ce8" );
+    ]
+  in
+  List.iter (fun (tag, cfg, report, journal) -> check_pins tag cfg ~report ~journal) pins
+
+(* Guests booted without their own plan arm the ambient one, so they
+   share its draws: which guest consumes which draw is part of the
+   pinned bytes. *)
+let test_fleet_pinned_ambient_chaos () =
+  let plan = FP.create ~seed:77 () in
+  FP.set_site plan FP.Relay_dup ~prob:0.02 ();
+  FP.set_site plan FP.Vmgexit_delay ~prob:0.03 ();
+  FP.set_site plan FP.Spurious_exit ~prob:0.02 ();
+  let saved = !Veil_core.Boot.default_chaos in
+  Veil_core.Boot.default_chaos := (fun () -> Some plan);
+  Fun.protect
+    ~finally:(fun () -> Veil_core.Boot.default_chaos := saved)
+    (fun () ->
+      check_pins "ambient plan" { quick_cfg with guests = 3; requests = 60 }
+        ~report:"3ea4dfb6a75f0372" ~journal:"016f238bcc369b30");
+  Alcotest.(check int) "ambient plan draws" 20 (FP.total_hits plan)
+
 let test_fleet_cross_tenant_oracle () =
   match
     List.find_opt
@@ -315,4 +379,6 @@ let suite =
     ("fleet: wait ledger shows zero cross-guest queueing", `Quick, test_fleet_wait_ledger_isolation);
     ("fleet: closed loop coordinately omits queueing", `Quick, test_fleet_coordinated_omission);
     ("fleet: compromised guest cannot move a co-tenant", `Quick, test_fleet_cross_tenant_oracle);
+    ("fleet: pinned reports and lb journals", `Quick, test_fleet_pinned_reports);
+    ("fleet: pinned report under an ambient chaos plan", `Quick, test_fleet_pinned_ambient_chaos);
   ]

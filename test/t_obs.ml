@@ -156,6 +156,34 @@ let test_reset () =
   Alcotest.(check int) "histogram zeroed" 0 (M.hist_count h);
   Alcotest.(check (list string)) "registrations survive" [ "c"; "g"; "h" ] (M.names m)
 
+(* [merge [r]] is a detached copy: it never runs [r]'s refresh hook,
+   and nothing done to [r] afterwards reaches it.  Veil-Fleet keeps such
+   copies so that a finished guest, which its live registry's hook
+   captures, can be freed. *)
+let test_merge_detached () =
+  let r = M.create () in
+  let c = M.counter r "c" and g = M.gauge r "g" and h = M.histogram r "h" in
+  M.add c 3;
+  M.set g 5;
+  M.observe h 100;
+  let hook_runs = ref 0 in
+  M.set_refresh r (fun () ->
+      incr hook_runs;
+      M.set g 99);
+  let copy = M.merge [ r ] in
+  let dumped = M.dump copy in
+  Alcotest.(check int) "merging and dumping the copy never run the hook" 0 !hook_runs;
+  (match M.find copy "g" with
+  | Some (M.Gauge cg) -> Alcotest.(check int) "copy holds the value at merge time" 5 (M.gauge_value cg)
+  | _ -> Alcotest.fail "copy lost the gauge");
+  M.add c 10;
+  M.set g 42;
+  M.observe h 1_000_000;
+  ignore (M.counter r "late");
+  ignore (M.dump r);
+  Alcotest.(check string) "later changes to the source stay out of the copy" dumped (M.dump copy);
+  Alcotest.(check int) "only the source's own dump ran its hook" 1 !hook_runs
+
 (* --- minimal JSON reader (enough to validate exporter output) --- *)
 
 type json =
@@ -677,6 +705,7 @@ let suite =
     Alcotest.test_case "histogram p100 and mean" `Quick test_histogram_p100_true_max;
     Alcotest.test_case "counter interning" `Quick test_counter_intern;
     Alcotest.test_case "reset" `Quick test_reset;
+    Alcotest.test_case "merge of one registry is detached" `Quick test_merge_detached;
     Alcotest.test_case "chrome export valid + monotonic" `Quick test_chrome_export;
     Alcotest.test_case "metrics JSON parses" `Quick test_metrics_json_parses;
     Alcotest.test_case "profiler empty" `Quick test_profiler_empty;
