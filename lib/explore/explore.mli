@@ -74,13 +74,30 @@ val boot : ?config:config -> scenario -> Veil_core.Boot.veil_system
     [sc_sites], seeded from [cf_seed]): the state every branch starts
     from.  Raises whatever a failing boot raises. *)
 
-val snapshot : ?config:config -> scenario -> (string, Chaos_outcome.t) result
-(** {!boot} marshalled with closures, or the classified outcome of a
-    failed boot — which is then every branch's outcome. *)
+type image = {
+  im_state : string;
+      (** the booted system marshalled with closures, its guest memory
+          detached *)
+  im_chunks : bytes array;
+      (** that memory's {!Sevsnp.Phys_mem.detach}ed chunks, shared by
+          every fork and never written *)
+}
+(** A snapshot image.  A fork unmarshals its own copy of the state and
+    attaches the chunks read-only: a branch copies a chunk only when
+    it first writes it, so forking costs the OCaml state alone. *)
 
-val fork : string -> Veil_core.Boot.veil_system
-(** An independent copy of a {!snapshot} image's system.  Runs one
-    major GC slice: unmarshalled words do not pace the major GC. *)
+val image : Veil_core.Boot.veil_system -> image
+(** Detach the system's memory and marshal the rest.  The system is
+    left without its memory: use {!fork} of the result instead. *)
+
+val snapshot : ?config:config -> scenario -> (image, Chaos_outcome.t) result
+(** The {!image} of {!boot}, or the classified outcome of a failed
+    boot — which is then every branch's outcome. *)
+
+val fork : image -> Veil_core.Boot.veil_system
+(** An independent system from an image: its own state, the image's
+    chunks shared copy-on-write.  Runs one major GC slice:
+    unmarshalled words do not pace the major GC. *)
 
 (** {1 Exploration} *)
 

@@ -3,22 +3,40 @@
    lazy-zero-fill semantics while making the common access a single
    array load + blit instead of a Hashtbl probe per page.  A per-page
    touched byte keeps [page_is_materialized]'s write-tracking
-   semantics. *)
+   semantics.
+
+   A chunk may be shared with other instances (Veil-Explore forks all
+   attach one snapshot's chunks): its [shared] byte is set, readers
+   use it in place, and the first write copies it.  Every writer goes
+   through [chunk_rw], so no write reaches a shared chunk. *)
 
 let chunk_page_bits = 6
 let chunk_pages = 1 lsl chunk_page_bits
 let chunk_shift = Types.page_shift + chunk_page_bits
 let chunk_bytes = 1 lsl chunk_shift
 
-type t = { npages : int; nbytes : int; chunks : bytes array; touched : Bytes.t }
+type t = {
+  npages : int;
+  nbytes : int;
+  chunks : bytes array;
+  shared : Bytes.t;  (* one byte per chunk: '\001' = copy before writing *)
+  empty : bytes;
+      (* this instance's unmaterialized-slot sentinel: one block for
+         every empty slot, so a detached instance marshals like a
+         fresh one *)
+  touched : Bytes.t;
+}
 
 let create ~npages =
   if npages <= 0 then invalid_arg "Phys_mem.create";
   let nchunks = (npages + chunk_pages - 1) / chunk_pages in
+  let empty = Bytes.create 0 in
   {
     npages;
     nbytes = npages * Types.page_size;
-    chunks = Array.make nchunks Bytes.empty;
+    chunks = Array.make nchunks empty;
+    shared = Bytes.make nchunks '\000';
+    empty;
     touched = Bytes.make npages '\000';
   }
 
@@ -34,13 +52,15 @@ let check_range t gpa len =
   if len < 0 || gpa < 0 || gpa > t.nbytes - len then
     invalid_arg (Printf.sprintf "Phys_mem: access 0x%x+%d out of range" gpa len)
 
-(* materialize the chunk holding [gpa] *)
+(* the chunk holding [gpa], private to this instance: materialized
+   if empty, copied if shared *)
 let chunk_rw t gpa =
   let ci = gpa lsr chunk_shift in
   let c = Array.unsafe_get t.chunks ci in
-  if Bytes.length c <> 0 then c
+  if Bytes.length c <> 0 && Bytes.unsafe_get t.shared ci = '\000' then c
   else begin
-    let c = Bytes.make chunk_bytes '\000' in
+    let c = if Bytes.length c = 0 then Bytes.make chunk_bytes '\000' else Bytes.copy c in
+    Bytes.unsafe_set t.shared ci '\000';
     Array.unsafe_set t.chunks ci c;
     c
   end
@@ -156,8 +176,24 @@ let write_u64 t gpa v =
 let zero_page t gpfn =
   if gpfn < 0 || gpfn >= t.npages then invalid_arg "Phys_mem.zero_page";
   let gpa = Types.gpa_of_gpfn gpfn in
-  let c = Array.unsafe_get t.chunks (gpa lsr chunk_shift) in
-  if Bytes.length c <> 0 then Bytes.fill c (gpa land (chunk_bytes - 1)) Types.page_size '\000'
+  if Bytes.length (Array.unsafe_get t.chunks (gpa lsr chunk_shift)) <> 0 then
+    Bytes.fill (chunk_rw t gpa) (gpa land (chunk_bytes - 1)) Types.page_size '\000'
 
 let page_is_materialized t gpfn =
   gpfn >= 0 && gpfn < t.npages && Bytes.get t.touched gpfn <> '\000'
+
+let detach t =
+  let chunks = Array.copy t.chunks in
+  Array.fill t.chunks 0 (Array.length chunks) t.empty;
+  Bytes.fill t.shared 0 (Bytes.length t.shared) '\000';
+  chunks
+
+let attach t chunks =
+  if Array.length chunks <> Array.length t.chunks then invalid_arg "Phys_mem.attach";
+  Array.iteri
+    (fun ci c ->
+      if Bytes.length c <> 0 then begin
+        Array.unsafe_set t.chunks ci c;
+        Bytes.unsafe_set t.shared ci '\001'
+      end)
+    chunks

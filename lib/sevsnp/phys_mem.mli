@@ -5,7 +5,11 @@
     until pages are used while keeping accesses a flat array load plus
     a blit.  This module performs no permission checking — that is
     {!Rmp} / {!Platform} territory; it is the raw encrypted DRAM of
-    the CVM. *)
+    the CVM.
+
+    Chunks can be shared between instances ({!detach} / {!attach}):
+    a shared chunk is read in place and copied on its first write, by
+    any writer, so no instance ever sees another's writes. *)
 
 type t
 
@@ -45,7 +49,20 @@ val read_u64 : t -> Types.gpa -> int
 val write_u64 : t -> Types.gpa -> int -> unit
 
 val zero_page : t -> Types.gpfn -> unit
+(** Zero one frame; a no-op on an unmaterialized chunk. *)
 
 val page_is_materialized : t -> Types.gpfn -> bool
 (** True when the frame has been written to (used by tests and by the
     boot-cost model to distinguish touched pages). *)
+
+val detach : t -> bytes array
+(** Move the chunks out: returns them (empty slots as zero-length
+    bytes) and leaves [t] with every chunk unmaterialized and no
+    shared flag set, so [t] marshals without its memory.  The
+    returned chunks must no longer be written. *)
+
+val attach : t -> bytes array -> unit
+(** Install {!detach}ed chunks, of the same instance shape, into every
+    slot they materialize, as shared chunks: [t] reads them in place
+    and copies each on its first write, so any number of instances
+    can attach one array. *)

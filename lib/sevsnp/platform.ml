@@ -308,9 +308,7 @@ let translate_slow t vcpu ~root a access =
       if not (pt_access_ok vcpu pte access) then raise (Guest_page_fault { fault_va = a; fault_access = access });
       let gpfn = pte.Pagetable.pte_gpfn in
       check_page t vcpu gpfn access;
-      let tlb = vcpu.Vcpu.tlb in
-      let vapage = (a - off) lsr Types.page_shift in
-      Tlb.fill tlb (Tlb.probe tlb ~vapage ~root) ~vapage ~root ~gpfn
+      Tlb.fill vcpu.Vcpu.tlb ~vapage:(a lsr Types.page_shift) ~root ~gpfn
         ~flags:(Tlb.pack_flags pte.Pagetable.pte_flags)
         ~rmp:(Rmp.tlb_snapshot t.rmp gpfn ~vmpl:(Vcpu.vmpl vcpu));
       gpfn
@@ -320,16 +318,14 @@ let translate_slow t vcpu ~root a access =
    and access; anything the cached state does not cleanly permit falls
    back to the slow path, which re-derives the authoritative fault. *)
 let tlb_translate t vcpu ~root a access =
-  let vapage = a lsr Types.page_shift in
-  let tlb = vcpu.Vcpu.tlb in
-  let e = Tlb.probe tlb ~vapage ~root in
-  if
-    Tlb.is_hit tlb e ~vapage ~root
-    && Tlb.pt_allows e.Tlb.e_flags access (Vcpu.cpl vcpu)
-    && Tlb.rmp_allows e.Tlb.e_rmp access (Vcpu.cpl vcpu) (Vcpu.vmpl vcpu)
-  then begin
+  let vmsa = Vcpu.current_vmsa vcpu in
+  let gpfn =
+    Tlb.lookup vcpu.Vcpu.tlb ~vapage:(a lsr Types.page_shift) ~root access vmsa.Vmsa.cpl
+      vmsa.Vmsa.vmpl
+  in
+  if gpfn >= 0 then begin
     Obs.Metrics.incr t.c_tlb_hit;
-    e.Tlb.e_gpfn
+    gpfn
   end
   else translate_slow t vcpu ~root a access
 

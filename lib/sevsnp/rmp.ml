@@ -138,7 +138,7 @@ let check_guest_access t ~gpfn ~vmpl ~cpl ~access =
   end
 
 (* TLB permission snapshot: the per-VMPL nibble plus shared/VMSA bits,
-   consumed by {!Tlb.rmp_allows}.  Only meaningful for frames that
+   consumed by {!Tlb.lookup}.  Only meaningful for frames that
    passed a check (state is Private or Shared). *)
 let tlb_snapshot t gpfn ~vmpl =
   let m = meta t gpfn in

@@ -72,7 +72,7 @@ val check_guest_access :
 val tlb_snapshot : t -> Types.gpfn -> vmpl:Types.vmpl -> int
 (** Packed permission snapshot a TLB entry caches alongside the
     translation: bits 0-3 the [vmpl] permission nibble, bit 4 shared,
-    bit 5 VMSA.  Evaluated on hits by {!Tlb.rmp_allows}; stays
+    bit 5 VMSA.  Evaluated on hits by {!Tlb.lookup}; stays
     coherent because every RMP mutation bumps {!generation}. *)
 
 val host_can_access : t -> Types.gpfn -> bool

@@ -4,24 +4,17 @@
     + RMP check, mirroring how SEV-SNP hardware caches both the
     translation and the RMP check result and requires explicit
     invalidation on PVALIDATE / RMPADJUST / PTE edits / VMPL switches.
+    Its 512 slots live in one flat byte slab, so a marshalled TLB is a
+    single block.
 
     Validity is by generation stamping: an entry is live only while
-    [stamp = !gen + epoch], where [gen] is the machine-wide TLB
+    its stamp is [!gen + epoch], where [gen] is the machine-wide TLB
     generation ({!Rmp.generation}, bumped by every RMP mutation and
     every page-table shootdown) and [epoch] is this VCPU's private
     flush counter (bumped by {!flush} on instance switches).  Both
     counters only grow, so any bump strictly increases the sum and
     invalidates every cached entry at once — there is no per-entry
     sweep on the invalidation path. *)
-
-type entry = {
-  mutable e_vapage : int;  (** VA page number; -1 when never filled *)
-  mutable e_root : int;  (** page-table root gpfn the entry belongs to *)
-  mutable e_stamp : int;  (** generation+epoch at fill time *)
-  mutable e_gpfn : int;  (** translated frame *)
-  mutable e_flags : int;  (** packed leaf flags: writable=1, user=2, nx=4 *)
-  mutable e_rmp : int;  (** {!Rmp.tlb_snapshot} permission snapshot *)
-}
 
 type t
 
@@ -32,23 +25,16 @@ val create : gen:int ref -> t
 val flush : t -> unit
 (** Invalidate everything this VCPU cached (VMPL/instance switch). *)
 
-val probe : t -> vapage:int -> root:int -> entry
-(** The slot [vapage] maps to; check {!is_hit} before trusting it.
-    Returns the slot itself (not an option) so the hit path allocates
-    nothing. *)
+val lookup : t -> vapage:int -> root:int -> Types.access -> Types.cpl -> Types.vmpl -> int
+(** The cached frame of ([vapage], [root]) when the entry is live and
+    its flags and RMP snapshot permit the access under the caller's
+    current CPL and VMPL, else [-1].  Shared pages never execute and
+    in-use VMSA frames reject non-VMPL-0 writes.  Allocation-free. *)
 
-val is_hit : t -> entry -> vapage:int -> root:int -> bool
-
-val fill : t -> entry -> vapage:int -> root:int -> gpfn:int -> flags:int -> rmp:int -> unit
+val fill : t -> vapage:int -> root:int -> gpfn:int -> flags:int -> rmp:int -> unit
+(** Cache a translation ([gpfn >= 0]) with its {!pack_flags} leaf
+    flags and {!Rmp.tlb_snapshot} bits, stamped with the current
+    generation, over whatever occupied its slot. *)
 
 val pack_flags : Pagetable.flags -> int
-(** Leaf flags in [e_flags] form. *)
-
-val pt_allows : int -> Types.access -> Types.cpl -> bool
-(** Evaluate packed leaf flags for an access at a CPL — the cached
-    equivalent of the page-walk flag check. *)
-
-val rmp_allows : int -> Types.access -> Types.cpl -> Types.vmpl -> bool
-(** Evaluate a cached {!Rmp.tlb_snapshot} under the caller's current
-    CPL/VMPL: shared pages never execute, in-use VMSA frames reject
-    non-VMPL-0 writes, otherwise the permission nibble decides. *)
+(** Leaf flags in [fill] form: writable=1, user=2, nx=4. *)

@@ -87,35 +87,97 @@ let test_reports_match_reboot_oracle () =
       ("rmp-shootdown", [ 300; 329; 39; 51; 12 ]);
     ]
 
+(* Both halves of an image: the marshalled state, and the contents of
+   the shared chunks. *)
+let check_image what expected got =
+  Alcotest.(check bool) (what ^ " (state)") true (String.equal expected.E.im_state got.E.im_state);
+  Alcotest.(check bool) (what ^ " (chunks)") true
+    (Array.length expected.E.im_chunks = Array.length got.E.im_chunks
+    && Array.for_all2 Bytes.equal expected.E.im_chunks got.E.im_chunks)
+
 (* A fork must be the state a fresh boot gives: the image equals an
-   independent boot's, and a fork re-marshals to the same bytes.  Boot
+   independent boot's, and a fork re-marshals to the same image.  Boot
    reading module-level state that the image does not carry (say
-   [Ltp.next_port] or [Libc.console_fd]), or leaving uninitialized
-   bytes in the graph, breaks one or the other. *)
+   [Ltp.next_port] or [Libc.console_fd]), leaving uninitialized bytes
+   in the graph, or a fork keeping its chunks' shared flags, breaks
+   one or the other. *)
 let test_fork_fidelity () =
-  let marshal sys = Marshal.to_string sys [ Marshal.Closures ] in
   List.iter
     (fun sc ->
       let name = sc.E.sc_name in
       match E.snapshot sc with
       | Error o -> Alcotest.failf "%s: snapshot boot failed: %s" name (O.to_string o)
       | Ok image ->
-          Alcotest.(check bool) (name ^ ": image = fresh boot") true
-            (String.equal image (marshal (E.boot sc)));
-          Alcotest.(check bool) (name ^ ": fork re-marshals to the image") true
-            (String.equal image (marshal (E.fork image))))
+          check_image (name ^ ": image = fresh boot") image (E.image (E.boot sc));
+          check_image (name ^ ": fork re-marshals to the image") image (E.image (E.fork image)))
     (E.all_scenarios @ E.weakened_scenarios)
 
+module PM = Sevsnp.Phys_mem
+module T = Sevsnp.Types
+
+(* Every guest-memory writer, run on a fork against a data page of a
+   chunk the forks share, must copy the chunk first: the fork reads
+   its own write back while a sibling fork and the image keep the
+   original bytes.  No scenario's branches write a shared chunk, so
+   this is the only guard of the copy path. *)
+let test_fork_copy_on_write () =
+  match E.snapshot (scenario "rmp-shootdown") with
+  | Error o -> Alcotest.failf "snapshot boot failed: %s" (O.to_string o)
+  | Ok image ->
+      let mem (sys : Veil_core.Boot.veil_system) = sys.Veil_core.Boot.platform.Sevsnp.Platform.mem in
+      let page m gpfn = PM.read m (T.gpa_of_gpfn gpfn) T.page_size in
+      let zero = Bytes.make T.page_size '\000' in
+      let original = Array.map Bytes.copy image.E.im_chunks in
+      let sibling = E.fork image in
+      (* a page with data: zeroing it in place would show *)
+      let rec data_page gpfn =
+        if gpfn >= PM.npages (mem sibling) then Alcotest.fail "image holds no data page"
+        else if Bytes.equal (page (mem sibling) gpfn) zero then data_page (gpfn + 1)
+        else gpfn
+      in
+      let gpfn = data_page 0 in
+      let gpa = T.gpa_of_gpfn gpfn in
+      let before = page (mem sibling) gpfn in
+      let flipped = Bytes.map (fun c -> Char.chr (Char.code c lxor 0xFF)) before in
+      let u64 = PM.read_u64 (mem sibling) (gpa + 64) lxor 0x5555_5555_5555 in
+      let reads_back m off len = Bytes.equal (PM.read m (gpa + off) len) (Bytes.sub flipped off len) in
+      let writers =
+        [
+          ("write", (fun m -> PM.write m gpa (Bytes.sub flipped 0 16)), fun m -> reads_back m 0 16);
+          ("write_sub", (fun m -> PM.write_sub m (gpa + 32) flipped 32 8), fun m -> reads_back m 32 8);
+          ( "write_byte",
+            (fun m -> PM.write_byte m (gpa + 48) (Char.code (Bytes.get flipped 48))),
+            fun m -> reads_back m 48 1 );
+          ("write_u64", (fun m -> PM.write_u64 m (gpa + 64) u64), fun m -> PM.read_u64 m (gpa + 64) = u64);
+          ( "flip_bit",
+            (fun m -> PM.flip_bit m (gpa + 80) 3),
+            fun m -> PM.read_byte m (gpa + 80) = Char.code (Bytes.get before 80) lxor 8 );
+          ("zero_page", (fun m -> PM.zero_page m gpfn), fun m -> Bytes.equal (page m gpfn) zero);
+        ]
+      in
+      List.iter
+        (fun (name, write, wrote) ->
+          let fork = E.fork image in
+          write (mem fork);
+          Alcotest.(check bool) (name ^ ": the fork reads its write") true (wrote (mem fork));
+          Alcotest.(check bool) (name ^ ": a sibling fork keeps the original") true
+            (Bytes.equal (page (mem sibling) gpfn) before);
+          Alcotest.(check bool) (name ^ ": the image's chunks are untouched") true
+            (Array.for_all2 Bytes.equal original image.E.im_chunks))
+        writers;
+      check_image "a third fork re-marshals to the image" image (E.image (E.fork image))
+
 (* Unmarshalled words do not pace OCaml 5.1's major GC: without the
-   slice each fork runs, 300 rmp-shootdown branches grew the heap by
-   ~49 MB (~1 MB with it). *)
+   slice each fork runs, 300 rmp-shootdown branches grow the heap by
+   ~13 MB (~2 MB with it; ~49 MB when forks also unmarshalled the
+   guest memory). *)
 let test_fork_gc_pacing () =
   Gc.compact ();
   let before = (Gc.quick_stat ()).Gc.heap_words in
   let r = E.explore ~config:{ E.default_config with E.cf_budget = 300 } (scenario "rmp-shootdown") in
   Alcotest.(check int) "300 branches ran" 300 r.E.rr_runs;
   let grown_mb = ((Gc.quick_stat ()).Gc.heap_words - before) * (Sys.word_size / 8) / 1_048_576 in
-  if grown_mb >= 16 then Alcotest.failf "heap grew %d MB over 300 forks (bound 16 MB)" grown_mb
+  if grown_mb >= 8 then Alcotest.failf "heap grew %d MB over 300 forks (bound 8 MB)" grown_mb
 
 let test_checked_in_journals_replay () =
   let dir = "journals" in
@@ -165,6 +227,7 @@ let suite =
     ("weakened guard: detect, minimize, replay", `Quick, test_weakened_detect_minimize_replay);
     ("reports match the reboot-per-branch oracle", `Quick, test_reports_match_reboot_oracle);
     ("fork equals a fresh boot", `Quick, test_fork_fidelity);
+    ("forks copy shared memory on write", `Quick, test_fork_copy_on_write);
     ("forks pace the major GC", `Quick, test_fork_gc_pacing);
     ("checked-in journals replay byte-for-byte", `Quick, test_checked_in_journals_replay);
     ("artifact parser rejects garbage", `Quick, test_artifact_parse_rejects_garbage);

@@ -427,6 +427,100 @@ let test_tlb_stale_domain_switch () =
   with T.Npf info ->
     Alcotest.(check bool) "npf at vmpl1" true (T.equal_vmpl info.T.fault_vmpl T.Vmpl1)
 
+(* --- TLB slab against the per-slot record model ---
+
+   The reference is the table of six-field records the slab replaced,
+   with its hit test: same slot, key and stamp, then the cached leaf
+   flags and RMP snapshot evaluated under the caller's CPL and VMPL.
+   Random fills, lookups, flushes and generation bumps over small key
+   ranges, so slots collide and entries go stale; [Tlb.lookup] must
+   agree with the model at every step. *)
+
+type tlb_op =
+  | Fill of int * int * int * int * int  (* vapage, root, gpfn, flags, rmp *)
+  | Lookup of int * int * T.access * T.cpl * T.vmpl
+  | Flush
+  | Bump
+
+type model_entry = {
+  mutable m_vapage : int;
+  mutable m_root : int;
+  mutable m_stamp : int;
+  mutable m_gpfn : int;
+  mutable m_flags : int;
+  mutable m_rmp : int;
+}
+
+let model_slot ~vapage ~root = (vapage lxor (root * 0x9E3779B1)) land 511
+
+let model_lookup slots stamp ~vapage ~root access cpl vmpl =
+  let e = slots.(model_slot ~vapage ~root) in
+  let pt_allows =
+    (not (cpl = T.Cpl3 && e.m_flags land 2 = 0))
+    && match access with T.Write -> e.m_flags land 1 <> 0 | T.Read -> true | T.Execute -> e.m_flags land 4 = 0
+  in
+  let rmp_allows =
+    if e.m_rmp land 16 <> 0 then access <> T.Execute
+    else if e.m_rmp land 32 <> 0 && access = T.Write && vmpl <> T.Vmpl0 then false
+    else Perm.bits_allow (e.m_rmp land 0xF) access cpl
+  in
+  if e.m_vapage = vapage && e.m_root = root && e.m_stamp = stamp && pt_allows && rmp_allows then
+    e.m_gpfn
+  else -1
+
+let tlb_op_gen =
+  QCheck.Gen.(
+    let key = pair (int_bound 40) (int_bound 3) in
+    frequency
+      [
+        ( 4,
+          map3
+            (fun (vapage, root) gpfn (flags, rmp) -> Fill (vapage, root, gpfn, flags, rmp))
+            key (int_bound 1_000_000) (pair (int_bound 7) (int_bound 63)) );
+        ( 6,
+          map3
+            (fun (vapage, root) access (cpl, vmpl) -> Lookup (vapage, root, access, cpl, vmpl))
+            key
+            (oneofl [ T.Read; T.Write; T.Execute ])
+            (pair (oneofl [ T.Cpl0; T.Cpl3 ]) (oneofl [ T.Vmpl0; T.Vmpl1; T.Vmpl2; T.Vmpl3 ])) );
+        (1, return Flush);
+        (1, return Bump);
+      ])
+
+let tlb_matches_model =
+  QCheck.Test.make ~name:"tlb lookup agrees with the record model" ~count:2000
+    (QCheck.make QCheck.Gen.(list_size (1 -- 120) tlb_op_gen))
+    (fun ops ->
+      let gen = ref 0 and epoch = ref 0 in
+      let tlb = Sevsnp.Tlb.create ~gen in
+      let slots =
+        Array.init 512 (fun _ ->
+            { m_vapage = -1; m_root = 0; m_stamp = 0; m_gpfn = 0; m_flags = 0; m_rmp = 0 })
+      in
+      List.for_all
+        (function
+          | Fill (vapage, root, gpfn, flags, rmp) ->
+              Sevsnp.Tlb.fill tlb ~vapage ~root ~gpfn ~flags ~rmp;
+              let e = slots.(model_slot ~vapage ~root) in
+              e.m_vapage <- vapage;
+              e.m_root <- root;
+              e.m_stamp <- !gen + !epoch;
+              e.m_gpfn <- gpfn;
+              e.m_flags <- flags;
+              e.m_rmp <- rmp;
+              true
+          | Lookup (vapage, root, access, cpl, vmpl) ->
+              Sevsnp.Tlb.lookup tlb ~vapage ~root access cpl vmpl
+              = model_lookup slots (!gen + !epoch) ~vapage ~root access cpl vmpl
+          | Flush ->
+              Sevsnp.Tlb.flush tlb;
+              incr epoch;
+              true
+          | Bump ->
+              incr gen;
+              true)
+        ops)
+
 let test_attestation_report () =
   let p, _hv, vcpu = mk_platform () in
   let report = P.attestation_report p vcpu ~report_data:(Bytes.of_string "nonce") in
@@ -474,6 +568,7 @@ let suite =
     ("tlb stale after rmpadjust", `Quick, test_tlb_stale_rmpadjust);
     ("tlb stale after pvalidate", `Quick, test_tlb_stale_pvalidate);
     ("tlb flushed on domain switch", `Quick, test_tlb_stale_domain_switch);
+    q tlb_matches_model;
     ("attestation report", `Quick, test_attestation_report);
     ("cycle model anchors", `Quick, test_cycles_anchors);
   ]

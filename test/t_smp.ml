@@ -170,9 +170,12 @@ let test_tlb_shootdown () =
   let initiator = Smp.vcpu smp 0 in
   (* warm an AP's TLB with a fabricated translation *)
   let tlb1 = (Smp.vcpu smp 1).V.tlb in
-  let e = Sevsnp.Tlb.probe tlb1 ~vapage:5 ~root:3 in
-  Sevsnp.Tlb.fill tlb1 e ~vapage:5 ~root:3 ~gpfn:42 ~flags:1 ~rmp:0;
-  Alcotest.(check bool) "entry cached" true (Sevsnp.Tlb.is_hit tlb1 e ~vapage:5 ~root:3);
+  let lookup () =
+    Sevsnp.Tlb.lookup tlb1 ~vapage:5 ~root:3 Sevsnp.Types.Read Sevsnp.Types.Cpl0
+      Sevsnp.Types.Vmpl0
+  in
+  Sevsnp.Tlb.fill tlb1 ~vapage:5 ~root:3 ~gpfn:42 ~flags:1 ~rmp:0xF;
+  Alcotest.(check int) "entry cached" 42 (lookup ());
   let before = Array.init 3 (fun i -> C.read_bucket (Smp.vcpu smp i).V.counter C.Kernel) in
   P.tlb_shootdown_distributed platform ~initiator;
   let delta i = C.read_bucket (Smp.vcpu smp i).V.counter C.Kernel - before.(i) in
@@ -182,8 +185,7 @@ let test_tlb_shootdown () =
     (delta 0);
   Alcotest.(check int) "remote 1 handler cost" C.ipi_handler (delta 1);
   Alcotest.(check int) "remote 2 handler cost" C.ipi_handler (delta 2);
-  Alcotest.(check bool) "remote entry invalidated" false
-    (Sevsnp.Tlb.is_hit tlb1 e ~vapage:5 ~root:3)
+  Alcotest.(check int) "remote entry invalidated" (-1) (lookup ())
 
 let test_single_vcpu_shootdown_unchanged () =
   (* with one VCPU the distributed model degenerates to the pre-SMP
