@@ -11,6 +11,19 @@ let test_sha256 =
   Test.make ~name:"crypto/sha256-4k"
     (Staged.stage (fun () -> ignore (Veil_crypto.Sha256.digest_bytes sha_buf)))
 
+(* VeilS-LOG's chain step, the fleet's dominant SHA-256 shape: a
+   32-byte head and an 89-byte line, three compressions with padding. *)
+let chain_head = Bytes.make 32 'h'
+let chain_line = String.make 89 'l'
+
+let test_sha256_chain_step =
+  Test.make ~name:"crypto/sha256-chain-step"
+    (Staged.stage (fun () ->
+         let ctx = Veil_crypto.Sha256.init () in
+         Veil_crypto.Sha256.update ctx chain_head;
+         Veil_crypto.Sha256.update_string ctx chain_line;
+         ignore (Veil_crypto.Sha256.finalize ctx)))
+
 let chacha_key = Bytes.make 32 'k'
 let chacha_nonce = Bytes.make 12 'n'
 
@@ -19,12 +32,10 @@ let test_chacha =
     (Staged.stage (fun () ->
          ignore (Veil_crypto.Chacha20.encrypt ~key:chacha_key ~nonce:chacha_nonce sha_buf)))
 
-let bignum_group = lazy (Veil_crypto.Group.default ())
-
 let test_powmod =
   Test.make ~name:"crypto/powmod-96bit"
     (Staged.stage (fun () ->
-         let g = Lazy.force bignum_group in
+         let g = Veil_crypto.Group.default () in
          ignore
            (Veil_crypto.Bignum.powmod ~base:g.Veil_crypto.Group.g ~exp:g.Veil_crypto.Group.q
               ~modulus:g.Veil_crypto.Group.p)))
@@ -188,9 +199,9 @@ let test_huffman =
 
 let all_tests =
   Test.make_grouped ~name:"veil-micro"
-    [ test_sha256; test_chacha; test_powmod; test_domain_switch; test_os_call; test_rmpadjust;
-      test_checked_read_4k; test_via_pt_read_4k; test_tlb_hit_u64; test_exitless;
-      test_lzss; test_huffman; test_deflate; test_mcache; test_fork ]
+    [ test_sha256; test_sha256_chain_step; test_chacha; test_powmod; test_domain_switch;
+      test_os_call; test_rmpadjust; test_checked_read_4k; test_via_pt_read_4k; test_tlb_hit_u64;
+      test_exitless; test_lzss; test_huffman; test_deflate; test_mcache; test_fork ]
 
 (* Veil-Trace contract: while tracing is disabled, the instrumented
    stack must not allocate anything new on the platform's read/write
@@ -296,6 +307,10 @@ let alloc_check () =
     Enclave_sdk.Exitless.cancel ex_ring (Enclave_sdk.Exitless.submit_prepared ex_ring ex_prep)
   in
   let e_sub = words_per_op ex_sub in
+  (* SHA-256 contract: compressing whole blocks straight from the
+     caller's bytes allocates nothing, so a boxing kernel shows here. *)
+  let sha_ctx = Veil_crypto.Sha256.init () and sha_block = Bytes.make 64 's' in
+  let sha_upd = words_per_op (fun () -> Veil_crypto.Sha256.update sha_ctx sha_block) in
   Sevsnp.Platform.disarm_chaos platform;
   let d_disarmed = words_per_op ds in
   Sevsnp.Platform.arm_chaos platform (Chaos.Fault_plan.create ~seed:1 ());
@@ -325,6 +340,7 @@ let alloc_check () =
   Printf.printf "  tlb-hit u64 read: tracing off %.4f w/op, on %.4f w/op\n" t_off t_on;
   Printf.printf "  sched_yield syscall (profiler off): %.4f w/op\n" s_off;
   Printf.printf "  exitless prepared submit: %.4f w/op\n" e_sub;
+  Printf.printf "  sha256 update, one whole block: %.4f w/op\n" sha_upd;
   Printf.printf "  domain-switch roundtrip: chaos disarmed %.4f w/op, armed zero-prob %.4f w/op\n"
     d_disarmed d_armed;
   Printf.printf "  domain-switch roundtrip: pulse disarmed %.4f w/op, armed no-capture %.4f w/op\n"
@@ -333,16 +349,18 @@ let alloc_check () =
     sc_plain sc_armed;
   if
     x_off = 0.0 && x_on = 0.0 && w_off = 0.0 && w_on = 0.0 && r_off = 0.0 && r_on = 0.0
-    && t_off = 0.0 && t_on = 0.0 && s_off = 0.0 && e_sub = 0.0 && d_armed = d_disarmed
+    && t_off = 0.0 && t_on = 0.0 && s_off = 0.0 && e_sub = 0.0 && sha_upd = 0.0
+    && d_armed = d_disarmed
     && sc_armed = sc_plain && p_armed = p_disarmed
   then
     print_endline
       "  PASS: checked physical access, the TLB-hit translated path, the\n\
-      \        profiler-disabled syscall path and the exitless submit path\n\
-      \        allocate nothing; an armed zero-probability chaos plan costs\n\
-      \        the same as disarmed, an armed wait_obs with the tracer\n\
-      \        off costs the yield path nothing, and an armed pulse\n\
-      \        sampler between captures costs what disarmed costs"
+      \        profiler-disabled syscall path, the exitless submit path and\n\
+      \        SHA-256 block compression allocate nothing; an armed\n\
+      \        zero-probability chaos plan costs the same as disarmed, an\n\
+      \        armed wait_obs with the tracer off costs the yield path\n\
+      \        nothing, and an armed pulse sampler between captures costs\n\
+      \        what disarmed costs"
   else begin
     print_endline "  FAIL: an instrumented hot path allocates";
     exit 1
@@ -355,9 +373,8 @@ let run () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) () in
-  (* generate the group and boot the fork image before timing: paid
-     inside the first timed run they would swamp the estimates *)
-  ignore (Lazy.force bignum_group);
+  (* boot the fork image before timing: paid inside the first timed
+     run it would swamp the estimate *)
   ignore (Lazy.force fork_image);
   let raw = Benchmark.all cfg instances all_tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in

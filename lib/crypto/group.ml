@@ -20,13 +20,17 @@ let generate ?(bits = 96) rng =
   in
   { p; q; g = find_g () }
 
-let default_group = lazy (generate (Rng.create 0x5EC0DE))
+(* [generate (Rng.create 0x5EC0DE)], precomputed: the search costs
+   tens of milliseconds in every process that signs or agrees a key.
+   A test checks that the generator still yields these values. *)
+let default_group =
+  {
+    p = Bignum.of_hex "c996ce6bd23b517ea7a61cbb";
+    q = Bignum.of_hex "64cb6735e91da8bf53d30e5d";
+    g = Bignum.of_hex "e58b5989bb57849d4b4cbe8";
+  }
 
-(* Forcing a [lazy] from two domains at once raises [Lazy.Undefined]
-   in the loser, so every force goes through this mutex. *)
-let default_lock = Mutex.create ()
-
-let default () = Mutex.protect default_lock (fun () -> Lazy.force default_group)
+let default () = default_group
 
 let element_of_bytes t b =
   let h = Bignum.of_bytes_be (Sha256.digest_bytes b) in

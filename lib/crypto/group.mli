@@ -2,9 +2,9 @@
     subgroup generator [g].
 
     Shared by the Diffie-Hellman key exchange ([Dh]) and the signature
-    scheme ([Schnorr]).  The default group is generated once,
-    deterministically, from a fixed seed — the simulation needs
-    algebraic correctness, not cryptographic key sizes. *)
+    scheme ([Schnorr]).  The default group is the one generated
+    from a fixed seed — the simulation needs algebraic correctness,
+    not cryptographic key sizes. *)
 
 type t = private { p : Bignum.t; q : Bignum.t; g : Bignum.t }
 
@@ -13,9 +13,8 @@ val generate : ?bits:int -> Rng.t -> t
     order-q subgroup. *)
 
 val default : unit -> t
-(** The lazily generated, process-wide simulation group.  Safe to call
-    from any domain: the first call builds it, concurrent callers wait
-    for that build. *)
+(** The process-wide simulation group: the one [generate] finds from
+    seed [0x5EC0DE], precomputed.  Safe to call from any domain. *)
 
 val element_of_bytes : t -> bytes -> Bignum.t
 (** Hash a byte string into the exponent range [1, q). *)

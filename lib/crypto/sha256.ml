@@ -1,4 +1,5 @@
-(* 32-bit arithmetic carried in native ints, masked to 32 bits. *)
+(* State and schedule words are 32-bit values kept in native ints;
+   [compress] computes on Int64 locals. *)
 
 let mask = 0xFFFFFFFF
 
@@ -29,7 +30,40 @@ let init () =
     w = Array.make 64 0;
   }
 
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Compression runs on Int64 locals, which ocamlopt keeps unboxed in
+   registers: a shift or logical op is one instruction with no tag bit
+   to restore, and [lo32] is a 32-bit move.  Every rotation reads a
+   doubled word: for a 32-bit x, [double x] holds two copies of x, and
+   bits 0..31 of [double x lsr n] are x rotated right by n (n <= 32;
+   SHA-256 rotates by 2 to 25).  The bits above 31 of a Σ or σ are
+   junk.  Carries only move upward, so junk never reaches the low 32
+   bits of a sum, and only a word that is rotated again (a schedule
+   word, a round's new a and e) is cut to 32 bits. *)
+let[@inline] lo32 x = Int64.logand x 0xFFFF_FFFFL
+let[@inline] double x = Int64.logor x (Int64.shift_left x 32)
+
+let[@inline] sum0 x =
+  let xx = double x in
+  Int64.(logxor (shift_right_logical xx 2) (logxor (shift_right_logical xx 13) (shift_right_logical xx 22)))
+
+let[@inline] sum1 x =
+  let xx = double x in
+  Int64.(logxor (shift_right_logical xx 6) (logxor (shift_right_logical xx 11) (shift_right_logical xx 25)))
+
+let[@inline] sig0 x =
+  let xx = double x in
+  Int64.(logxor (shift_right_logical xx 7) (logxor (shift_right_logical xx 18) (shift_right_logical x 3)))
+
+let[@inline] sig1 x =
+  let xx = double x in
+  Int64.(logxor (shift_right_logical xx 17) (logxor (shift_right_logical xx 19) (shift_right_logical x 10)))
+
+let[@inline] ch e f g = Int64.(logxor g (logand e (logxor f g)))
+let[@inline] maj a b c = Int64.(logor (logand a b) (logand c (logor a b)))
+let[@inline] word w i = Int64.of_int (Array.unsafe_get w i)
+
+(* k.(i) + w.(i) as one term: both are below 2^32 *)
+let[@inline] kw w i = Int64.of_int (Array.unsafe_get k i + Array.unsafe_get w i)
 
 let compress ctx block off =
   let w = ctx.w in
@@ -37,34 +71,53 @@ let compress ctx block off =
     Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
-    Array.unsafe_set w i ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
+    let s = Int64.(add (add (word w (i - 16)) (sig0 (word w (i - 15)))) (add (word w (i - 7)) (sig1 (word w (i - 2))))) in
+    Array.unsafe_set w i (Int64.to_int (lo32 s))
   done;
   let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g; g := !f; f := !e;
-    e := (!d + t1) land mask;
-    d := !c; c := !b; b := !a;
-    a := (t1 + t2) land mask
+  let a = ref (word h 0) and b = ref (word h 1) and c = ref (word h 2) and d = ref (word h 3) in
+  let e = ref (word h 4) and f = ref (word h 5) and g = ref (word h 6) and hh = ref (word h 7) in
+  (* Eight rounds per turn, and no state word ever moves.  A round
+     writes only d (which becomes e) and h (which becomes a); the next
+     round reads every name shifted by one, so round i+1 takes
+     (h, a, b, c, d, e, f, g) as its (a, ..., h), and after eight
+     rounds the names line up again.  Ch is g ^ (e & (f ^ g)) and Maj
+     is (a & b) | (c & (a | b)). *)
+  for j = 0 to 7 do
+    let i = 8 * j in
+    let t1 = Int64.(add (add !hh (sum1 !e)) (add (ch !e !f !g) (kw w i))) in
+    d := lo32 (Int64.add !d t1);
+    hh := lo32 Int64.(add t1 (add (sum0 !a) (maj !a !b !c)));
+    let t1 = Int64.(add (add !g (sum1 !d)) (add (ch !d !e !f) (kw w (i + 1)))) in
+    c := lo32 (Int64.add !c t1);
+    g := lo32 Int64.(add t1 (add (sum0 !hh) (maj !hh !a !b)));
+    let t1 = Int64.(add (add !f (sum1 !c)) (add (ch !c !d !e) (kw w (i + 2)))) in
+    b := lo32 (Int64.add !b t1);
+    f := lo32 Int64.(add t1 (add (sum0 !g) (maj !g !hh !a)));
+    let t1 = Int64.(add (add !e (sum1 !b)) (add (ch !b !c !d) (kw w (i + 3)))) in
+    a := lo32 (Int64.add !a t1);
+    e := lo32 Int64.(add t1 (add (sum0 !f) (maj !f !g !hh)));
+    let t1 = Int64.(add (add !d (sum1 !a)) (add (ch !a !b !c) (kw w (i + 4)))) in
+    hh := lo32 (Int64.add !hh t1);
+    d := lo32 Int64.(add t1 (add (sum0 !e) (maj !e !f !g)));
+    let t1 = Int64.(add (add !c (sum1 !hh)) (add (ch !hh !a !b) (kw w (i + 5)))) in
+    g := lo32 (Int64.add !g t1);
+    c := lo32 Int64.(add t1 (add (sum0 !d) (maj !d !e !f)));
+    let t1 = Int64.(add (add !b (sum1 !g)) (add (ch !g !hh !a) (kw w (i + 6)))) in
+    f := lo32 (Int64.add !f t1);
+    b := lo32 Int64.(add t1 (add (sum0 !c) (maj !c !d !e)));
+    let t1 = Int64.(add (add !a (sum1 !f)) (add (ch !f !g !hh) (kw w (i + 7)))) in
+    e := lo32 (Int64.add !e t1);
+    a := lo32 Int64.(add t1 (add (sum0 !b) (maj !b !c !d)))
   done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  h.(0) <- (h.(0) + Int64.to_int !a) land mask;
+  h.(1) <- (h.(1) + Int64.to_int !b) land mask;
+  h.(2) <- (h.(2) + Int64.to_int !c) land mask;
+  h.(3) <- (h.(3) + Int64.to_int !d) land mask;
+  h.(4) <- (h.(4) + Int64.to_int !e) land mask;
+  h.(5) <- (h.(5) + Int64.to_int !f) land mask;
+  h.(6) <- (h.(6) + Int64.to_int !g) land mask;
+  h.(7) <- (h.(7) + Int64.to_int !hh) land mask
 
 let update ctx data =
   let len = Bytes.length data in
