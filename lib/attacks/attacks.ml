@@ -18,15 +18,20 @@ let outcome_to_string = function
 
 let is_blocked = function Breached _ -> false | _ -> true
 
-type t = { name : string; description : string; exec : unit -> outcome }
+(* How an attack boots its guests: the harness fixes the size and
+   arms the run's fault plan, if any, on every guest. *)
+type boot = ?seed:int -> unit -> Veil_core.Boot.veil_system
+
+type t = { name : string; description : string; exec : boot -> outcome }
 
 let name t = t.name
 let description t = t.description
-let run t = t.exec ()
 
 let attack_npages = 2048
 
-let fresh () = Veil_core.Boot.boot_veil ~npages:attack_npages ~seed:31 ()
+let run ?chaos t =
+  let boot ?(seed = 31) () = Veil_core.Boot.boot_veil ~npages:attack_npages ~seed ?chaos () in
+  t.exec boot
 
 (* Convert raised platform faults into outcomes. *)
 let catching f =
@@ -34,7 +39,8 @@ let catching f =
   | T.Npf info -> Blocked_npf info
   | T.Cvm_halted reason -> Blocked_error ("CVM halted: " ^ reason)
 
-let mk name description exec = { name; description; exec = (fun () -> catching exec) }
+let mk name description exec =
+  { name; description; exec = (fun boot -> catching (fun () -> exec boot)) }
 
 (* --- helpers --- *)
 
@@ -59,12 +65,12 @@ let make_enclave sys =
 let atk_boot_image =
   mk "boot-malicious-image"
     "substitute the measured boot image and try to pass remote attestation (Table 1, boot-time)"
-    (fun () ->
+    (fun boot ->
       (* Reference deployment the user expects... *)
-      let good = Veil_core.Boot.boot_veil ~npages:attack_npages ~seed:31 () in
+      let good = boot () in
       let expected = Sevsnp.Attestation.launch_measurement good.Veil_core.Boot.platform.P.attestation in
       (* ...and the attacker's CVM booted from a different disk. *)
-      let evil = Veil_core.Boot.boot_veil ~npages:attack_npages ~seed:666 () in
+      let evil = boot ~seed:666 () in
       let user =
         Veil_core.Channel.create (Veil_crypto.Rng.create 1)
           ~platform_public:(Sevsnp.Attestation.platform_public_key evil.Veil_core.Boot.platform.P.attestation)
@@ -76,21 +82,21 @@ let atk_boot_image =
 
 let atk_read_mon =
   mk "read-dom-mon" "compromised OS reads VeilMon heap memory (Table 1, domain enforcement)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       os_read_gpa sys (T.gpa_of_gpfn (sys.Veil_core.Boot.layout.Veil_core.Layout.mon_heap.Veil_core.Layout.lo + 2)))
 
 let atk_write_sec =
   mk "write-dom-sec" "compromised OS overwrites the VeilS-LOG storage region (Table 1)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       os_write_gpa sys (T.gpa_of_gpfn sys.Veil_core.Boot.layout.Veil_core.Layout.log_region.Veil_core.Layout.lo))
 
 let atk_rmpadjust_lift =
   mk "rmpadjust-lift"
     "compromised OS executes RMPADJUST to regain access to a protected frame (Table 1)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       match
         P.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu
           ~gpfn:sys.Veil_core.Boot.layout.Veil_core.Layout.mon_heap.Veil_core.Layout.lo ~target:T.Vmpl3 ~perms:Sevsnp.Perm.all
@@ -102,8 +108,8 @@ let atk_rmpadjust_lift =
 let atk_rmpadjust_priv =
   mk "rmpadjust-privilege"
     "compromised OS tries RMPADJUST against a more privileged VMPL (architectural check)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let own_frame = sys.Veil_core.Boot.layout.Veil_core.Layout.kernel_free.Veil_core.Layout.lo in
       match
         P.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~gpfn:own_frame ~target:T.Vmpl1
@@ -115,16 +121,16 @@ let atk_rmpadjust_priv =
 let atk_write_vmsa =
   mk "overwrite-registers"
     "compromised OS overwrites a trusted domain's saved register state (VMSA) (Table 1)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let vmsa = Veil_core.Monitor.vmsa_of sys.Veil_core.Boot.mon ~vcpu_id:0 ~dom:Veil_core.Privdom.Sec in
       os_write_gpa sys (T.gpa_of_gpfn vmsa.Sevsnp.Vmsa.backing_gpfn))
 
 let atk_write_protected_pt =
   mk "overwrite-page-tables"
     "compromised OS overwrites enclave page tables kept in Dom_SEC (Table 1 / §8.3 validation)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let rt = make_enclave sys in
       let root = Veil_core.Encsvc.pt_root (Enclave_sdk.Runtime.enclave rt) in
       os_write_gpa sys (T.gpa_of_gpfn root))
@@ -132,8 +138,8 @@ let atk_write_protected_pt =
 let atk_spawn_vcpu_rmpadjust =
   mk "spawn-vcpu-vmsa-attr"
     "compromised OS marks its own frame as a VMSA to spawn a privileged VCPU (Table 1)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let frame = K.alloc_frame sys.Veil_core.Boot.kernel in
       match
         P.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~gpfn:frame ~target:T.Vmpl0
@@ -145,8 +151,8 @@ let atk_spawn_vcpu_rmpadjust =
 let atk_spawn_vcpu_hypercall =
   mk "spawn-vcpu-hypercall"
     "compromised OS asks the hypervisor to run a forged VMSA at VMPL-0 (Table 1)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let frame = K.alloc_frame sys.Veil_core.Boot.kernel in
       (* write plausible VMSA bytes, then request a launch *)
       P.write sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu (T.gpa_of_gpfn frame) (Bytes.make 64 '\x41');
@@ -160,15 +166,15 @@ let atk_spawn_vcpu_hypercall =
 let atk_idcb_trusted =
   mk "overwrite-trusted-idcb"
     "compromised OS overwrites trusted-domain communication memory in Dom_SEC (Table 1)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       os_write_gpa sys (T.gpa_of_gpfn (sys.Veil_core.Boot.layout.Veil_core.Layout.svc_region.Veil_core.Layout.lo + 1)))
 
 let atk_malicious_pointer =
   mk "malicious-request-pointer"
     "compromised OS passes a pointer into VeilMon memory inside a service request (Table 1)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let evil_dest = T.gpa_of_gpfn sys.Veil_core.Boot.layout.Veil_core.Layout.mon_heap.Veil_core.Layout.lo in
       match
         Veil_core.Monitor.os_call sys.Veil_core.Boot.mon sys.Veil_core.Boot.vcpu (Veil_core.Idcb.R_log_fetch { dest_gpa = evil_dest; max = 4096 })
@@ -179,8 +185,8 @@ let atk_malicious_pointer =
 let atk_pvalidate_protected =
   mk "pvalidate-protected-frame"
     "compromised OS asks the delegate to unvalidate a VeilMon frame (§5.3 check)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       match
         Veil_core.Monitor.os_call sys.Veil_core.Boot.mon sys.Veil_core.Boot.vcpu
           (Veil_core.Idcb.R_pvalidate { gpfn = sys.Veil_core.Boot.layout.Veil_core.Layout.mon_image.Veil_core.Layout.lo; to_private = false })
@@ -191,8 +197,8 @@ let atk_pvalidate_protected =
 let atk_ap_start_tampered_vmsa =
   mk "ap-start-tampered-vmsa"
     "malicious hypervisor tampers with an AP's VMSA replicas during SMP bring-up (§5, Veil-SMP)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       (* The OS requests the AP start through the monitor (§5):
          VeilMon hot-plugs the VCPU and creates/validates its
          per-domain replicas and IDCB.  A refusal (possible under
@@ -252,8 +258,8 @@ let framework_attacks () =
 let atk_wrong_binary =
   mk "enclave-wrong-binary"
     "OS loads a trojaned binary into the enclave; remote attestation must catch it (Table 2)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let proc = K.spawn sys.Veil_core.Boot.kernel in
       let good_binary = Bytes.of_string (String.make 5000 'G') in
       let evil_binary = Bytes.of_string (String.make 5000 'X') in
@@ -269,16 +275,16 @@ let atk_wrong_binary =
           else Blocked_crypto "enclave measurement mismatch: user withholds secrets")
 
 let atk_enclave_read =
-  mk "enclave-read-from-os" "compromised OS reads enclave memory (Table 2)" (fun () ->
-      let sys = fresh () in
+  mk "enclave-read-from-os" "compromised OS reads enclave memory (Table 2)" (fun boot ->
+      let sys = boot () in
       let rt = make_enclave sys in
       match Veil_core.Encsvc.resident_frame (Enclave_sdk.Runtime.enclave rt) Guest_kernel.Process.enclave_base with
       | Some frame -> os_read_gpa sys (T.gpa_of_gpfn frame)
       | None -> Breached "enclave page unexpectedly absent")
 
 let atk_enclave_write =
-  mk "enclave-write-from-os" "compromised OS writes enclave memory (Table 2)" (fun () ->
-      let sys = fresh () in
+  mk "enclave-write-from-os" "compromised OS writes enclave memory (Table 2)" (fun boot ->
+      let sys = boot () in
       let rt = make_enclave sys in
       match Veil_core.Encsvc.resident_frame (Enclave_sdk.Runtime.enclave rt) Guest_kernel.Process.enclave_base with
       | Some frame -> os_write_gpa sys (T.gpa_of_gpfn frame)
@@ -287,8 +293,8 @@ let atk_enclave_write =
 let atk_enclave_alias =
   mk "enclave-aliased-layout"
     "OS submits an enclave layout with two virtual pages on one frame (Table 2, layout)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let frame = K.alloc_frame sys.Veil_core.Boot.kernel in
       let mk_page i =
         {
@@ -320,8 +326,8 @@ let atk_enclave_alias =
 let atk_enclave_steal_frame =
   mk "enclave-disjointness"
     "OS builds a second enclave over the first enclave's physical pages (Table 2)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let rt = make_enclave sys in
       let victim_frame =
         match
@@ -359,8 +365,8 @@ let atk_enclave_steal_frame =
 
 let atk_enclave_vmsa_os =
   mk "enclave-vmsa-from-os" "compromised OS rewrites the enclave's saved rip in its VMSA (Table 2)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let _rt = make_enclave sys in
       let vmsa = Veil_core.Monitor.vmsa_of sys.Veil_core.Boot.mon ~vcpu_id:0 ~dom:Veil_core.Privdom.Enc in
       os_write_gpa sys (T.gpa_of_gpfn vmsa.Sevsnp.Vmsa.backing_gpfn))
@@ -368,8 +374,8 @@ let atk_enclave_vmsa_os =
 let atk_enclave_vmsa_hv =
   mk "enclave-vmsa-from-hypervisor"
     "hypervisor tries to overwrite the enclave VMSA through host memory (Table 2)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let _rt = make_enclave sys in
       match Hypervisor.Hv.try_tamper_vmsa sys.Veil_core.Boot.hv ~vcpu_id:0 ~vmpl:T.Vmpl2 with
       | Ok () -> Breached "host wrote a private VMSA frame"
@@ -378,8 +384,8 @@ let atk_enclave_vmsa_hv =
 let atk_bad_ghcb =
   mk "enclave-bad-ghcb-mapping"
     "OS schedules the enclave with a wrong GHCB mapping; the switch must crash the CVM (§6.2)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let _rt = make_enclave sys in
       (* point the GHCB MSR at a private frame and attempt the switch *)
       let vmsa = Sevsnp.Vcpu.current_vmsa sys.Veil_core.Boot.vcpu in
@@ -390,8 +396,8 @@ let atk_bad_ghcb =
 let atk_refuse_relay =
   mk "hypervisor-refuse-interrupt-relay"
     "hypervisor forces interrupt handling inside Dom_ENC instead of relaying (Table 2)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let rt = make_enclave sys in
       let kernel = sys.Veil_core.Boot.kernel in
       Hypervisor.Hv.set_refuse_interrupt_relay sys.Veil_core.Boot.hv true;
@@ -408,8 +414,8 @@ let atk_refuse_relay =
 let atk_cross_enclave =
   mk "malicious-enclave-cross-read"
     "a malicious enclave dereferences another enclave's address (Table 2)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let victim = make_enclave sys in
       ignore victim;
       let attacker_proc = K.spawn sys.Veil_core.Boot.kernel in
@@ -430,8 +436,8 @@ let atk_cross_enclave =
           with P.Guest_page_fault _ -> Blocked_error "#PF: address not mapped in protected tables"))
 
 let atk_enclave_exec_os =
-  mk "enclave-execute-os-code" "an enclave jumps into kernel code at Dom_ENC (Table 2)" (fun () ->
-      let sys = fresh () in
+  mk "enclave-execute-os-code" "an enclave jumps into kernel code at Dom_ENC (Table 2)" (fun boot ->
+      let sys = boot () in
       let rt = make_enclave sys in
       Enclave_sdk.Runtime.run rt (fun _ ->
           P.check_exec sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu
@@ -441,8 +447,8 @@ let atk_enclave_exec_os =
 let atk_paging_replay =
   mk "enclave-paging-replay"
     "OS replays a stale evicted page at restore time; freshness counter must reject (§6.2)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let rt = make_enclave sys in
       let enclave = Enclave_sdk.Runtime.enclave rt in
       let id = Veil_core.Encsvc.enclave_id enclave in
@@ -489,8 +495,8 @@ let atk_paging_replay =
 let atk_enclave_ghcb_escalate =
   mk "enclave-ghcb-escalation"
     "a malicious enclave requests a switch to Dom_MON through its own GHCB (policy check)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let rt = make_enclave sys in
       try
         Enclave_sdk.Runtime.run rt (fun _ ->
@@ -525,8 +531,8 @@ let enclave_attacks () =
 let atk_validation_pt =
   mk "validation-pt-overwrite"
     "§8.3 attack 1: map VeilMon page tables into the OS address space and modify them"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let rt = make_enclave sys in
       let pt_frame = Veil_core.Encsvc.pt_root (Enclave_sdk.Runtime.enclave rt) in
       (* the OS maps the frame into a process and writes through its
@@ -550,8 +556,8 @@ let atk_validation_pt =
 let atk_validation_module =
   mk "validation-module-text-overwrite"
     "§8.3 attack 2: disable OS W^X bits and overwrite a VeilS-KCI-protected module's text"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let kernel = sys.Veil_core.Boot.kernel in
       let img =
         Guest_kernel.Kmodule.build (K.rng kernel) ~name:"victim" ~text_size:4096 ~data_size:512
@@ -584,8 +590,8 @@ let atk_stale_tlb =
   mk "validation-stale-tlb"
     "warm a translation in the VCPU TLB, have VeilMon revoke the frame's Dom_UNT \
      permissions, then replay the access hoping the cached translation survives"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let platform = sys.Veil_core.Boot.platform in
       let vcpu = sys.Veil_core.Boot.vcpu in
       let kernel = sys.Veil_core.Boot.kernel in
@@ -623,8 +629,8 @@ let atk_pulse_tamper =
   mk "hypervisor-pulse-telemetry-tamper"
     "untrusted hypervisor drops, edits and reorders attested Veil-Pulse telemetry before it \
      reaches the verifier; the per-interval hash chain must flag every manipulation (ISSUE 8)"
-    (fun () ->
-      let sys = fresh () in
+    (fun boot ->
+      let sys = boot () in
       let platform = sys.Veil_core.Boot.platform in
       let pu = platform.P.pulse in
       let vcpu = sys.Veil_core.Boot.vcpu in
@@ -696,7 +702,7 @@ let atk_fleet_cross_tenant =
     "one guest of a 3-guest fleet runs a compromised kernel firing malicious request pointers \
      and a direct VeilMon read; every probe must be blocked and no co-tenant's histograms, \
      data or schedule may move by a single byte"
-    (fun () ->
+    (fun _ ->
       let cfg =
         {
           Fleet.default with
@@ -705,10 +711,11 @@ let atk_fleet_cross_tenant =
           requests = 72;
           seed = 1033;
           lb = Fleet.Round_robin;
-          (* Arm explicit per-guest fault plans: they are derived from the
-             per-guest seed, so benign and hostile runs see identical fault
-             streams and the byte-identity oracle holds even when the chaos
-             driver has installed an ambient (stateful, shared) plan. *)
+          (* The run's fault plan is not armed here: one stateful plan
+             shared by the benign and hostile runs would feed them
+             different draws.  Per-guest plans derived from the
+             per-guest seed give both runs identical fault streams, so
+             the byte-identity oracle holds under chaos too. *)
           chaos = true;
         }
       in

@@ -23,8 +23,12 @@ type t
 
 val name : t -> string
 val description : t -> string
-val run : t -> outcome
-(** Boots its own guest; safe to run each attack independently. *)
+
+val run : ?chaos:Chaos.Fault_plan.t -> t -> outcome
+(** Boots its own guests; safe to run each attack independently.
+    [?chaos] is armed on every guest the attack boots (the fleet
+    attack arms its own per-guest plans instead); without it the
+    guests run disarmed. *)
 
 val framework_attacks : unit -> t list
 (** Table 1: boot-time image substitution, trusted-domain read/write,

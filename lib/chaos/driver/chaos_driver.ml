@@ -80,13 +80,6 @@ let make_plan ?(sites = FP.all_sites) ~seed () =
   List.iter (fun s -> FP.set_site plan s ~prob:(default_prob s) ()) sites;
   plan
 
-(* Arm the plan on every guest booted inside [f] (workload drivers and
-   attacks boot their own guests through [Boot.boot_veil]). *)
-let with_plan plan f =
-  let saved = !B.default_chaos in
-  B.default_chaos := (fun () -> Some plan);
-  Fun.protect ~finally:(fun () -> B.default_chaos := saved) f
-
 exception Fail = Chaos_outcome.Fail
 
 let corrupt = Chaos_outcome.corrupt
@@ -99,8 +92,8 @@ let trial_npages = 2048
 
 (* --- boot: the §5.1 modified boot flow, then one sanity syscall --- *)
 
-let run_boot () =
-  let sys = B.boot_veil ~npages:trial_npages ~seed:31 () in
+let run_boot ~plan () =
+  let sys = B.boot_veil ~npages:trial_npages ~seed:31 ~chaos:plan () in
   let kernel = sys.B.kernel in
   let proc = K.spawn kernel in
   match K.invoke kernel proc S.Getpid [] with
@@ -110,8 +103,8 @@ let run_boot () =
 
 (* --- syscall bench: file round-trips + interrupt relays --- *)
 
-let run_syscall ~seed ~vcpus () =
-  let sys = B.boot_veil ~npages:trial_npages ~seed:31 () in
+let run_syscall ~plan ~seed ~vcpus () =
+  let sys = B.boot_veil ~npages:trial_npages ~seed:31 ~chaos:plan () in
   let kernel = sys.B.kernel and hv = sys.B.hv and vcpu = sys.B.vcpu in
   let payload = Veil_crypto.Rng.bytes (Veil_crypto.Rng.create (seed lxor 0xF11E)) 512 in
   let degraded = ref None in
@@ -188,8 +181,8 @@ let run_syscall ~seed ~vcpus () =
 
 (* --- enclave: create, attest, heap round-trip, ocall, destroy --- *)
 
-let run_enclave ~seed () =
-  let sys = B.boot_veil ~npages:trial_npages ~seed:31 () in
+let run_enclave ~plan ~seed () =
+  let sys = B.boot_veil ~npages:trial_npages ~seed:31 ~chaos:plan () in
   let proc = K.spawn sys.B.kernel in
   let binary = Veil_crypto.Rng.bytes (Veil_crypto.Rng.create (seed lxor 0xE9C)) 8192 in
   match Rt.create sys ~binary proc with
@@ -230,8 +223,8 @@ let run_enclave ~seed () =
 
 (* --- slog: execute-ahead capture, chain verify, degraded recovery --- *)
 
-let run_slog () =
-  let sys = B.boot_veil ~npages:trial_npages ~log_frames:1 ~seed:23 () in
+let run_slog ~plan () =
+  let sys = B.boot_veil ~npages:trial_npages ~log_frames:1 ~seed:23 ~chaos:plan () in
   let kernel = sys.B.kernel in
   Guest_kernel.Audit.set_rules (K.audit kernel) [ S.Open ];
   let proc = K.spawn kernel in
@@ -260,7 +253,7 @@ let run_slog () =
 (* --- pulse: attested telemetry under an export-tampering hypervisor --- *)
 
 let run_pulse ~plan () =
-  let sys = B.boot_veil ~npages:trial_npages ~seed:29 () in
+  let sys = B.boot_veil ~npages:trial_npages ~seed:29 ~chaos:plan () in
   let platform = sys.B.platform in
   let kernel = sys.B.kernel in
   let vcpu = sys.B.vcpu in
@@ -301,13 +294,13 @@ let run_workload ?sites ?(vcpus = 1) ~seed kind =
   let plan = make_plan ?sites ~seed () in
   let body =
     match kind with
-    | Wl_boot -> run_boot
-    | Wl_syscall -> run_syscall ~seed ~vcpus
-    | Wl_enclave -> run_enclave ~seed
-    | Wl_slog -> run_slog
+    | Wl_boot -> run_boot ~plan
+    | Wl_syscall -> run_syscall ~plan ~seed ~vcpus
+    | Wl_enclave -> run_enclave ~plan ~seed
+    | Wl_slog -> run_slog ~plan
     | Wl_pulse -> run_pulse ~plan
   in
-  let outcome = with_plan plan (fun () -> classify body) in
+  let outcome = classify body in
   {
     tr_workload = kind;
     tr_seed = seed;
@@ -321,22 +314,21 @@ let run_workload ?sites ?(vcpus = 1) ~seed kind =
 
 let attacks_under_chaos ?sites ~seed () =
   let plan = make_plan ?sites ~seed () in
-  with_plan plan (fun () ->
-      let atks = A.all () in
-      let breached =
-        List.filter_map
-          (fun a ->
-            let o =
-              (* A chaos-induced halt/#NPF during an attack is an
-                 explicit stop, not a breach. *)
-              try A.run a with
-              | T.Cvm_halted r -> A.Blocked_error ("CVM halted: " ^ r)
-              | T.Npf info -> A.Blocked_npf info
-            in
-            if A.is_blocked o then None else Some (A.name a, A.outcome_to_string o))
-          atks
-      in
-      (breached, List.length atks))
+  let atks = A.all () in
+  let breached =
+    List.filter_map
+      (fun a ->
+        let o =
+          (* A chaos-induced halt/#NPF during an attack is an explicit
+             stop, not a breach. *)
+          try A.run ~chaos:plan a with
+          | T.Cvm_halted r -> A.Blocked_error ("CVM halted: " ^ r)
+          | T.Npf info -> A.Blocked_npf info
+        in
+        if A.is_blocked o then None else Some (A.name a, A.outcome_to_string o))
+      atks
+  in
+  (breached, List.length atks)
 
 type report = {
   rp_seed : int;

@@ -27,13 +27,6 @@ val class_name : t -> string
 val same_class : t -> t -> bool
 (** Same constructor, details ignored — replay confirmation. *)
 
-val watchdog_prefix : string
-(** ["chaos watchdog"]: the prefix of [Cvm_halted] reasons raised by
-    step-budget watchdogs (platform world-exit budget, Smp interleaver
-    budget). *)
-
-val is_watchdog : string -> bool
-
 exception Fail of t
 (** Raised by checks inside a classified run; {!classify} returns the
     carried outcome verbatim. *)

@@ -26,12 +26,6 @@ type native_system = {
 
 let default_npages = 8192
 
-(* Veil-Chaos hook: when set, every [boot_veil] without an explicit
-   [?chaos] argument arms the returned fault plan right after platform
-   creation, so the boot sweeps themselves run under fault injection.
-   The chaos driver installs here so workloads need no plumbing. *)
-let default_chaos : (unit -> Chaos.Fault_plan.t option) ref = ref (fun () -> None)
-
 (* Deterministic boot-image bytes so the launch measurement is stable
    for a given seed (remote attestation checks depend on this). *)
 let image_segment ~seed ~which (r : Layout.region) =
@@ -97,9 +91,7 @@ let install_hooks mon (kernel : K.t) _vcpu =
 let boot_veil ?(npages = default_npages) ?log_frames ?(seed = 11) ?(activate_kci = true) ?chaos () =
   let layout = Layout.standard ?log_frames ~npages () in
   let platform = P.create ~seed ~npages () in
-  (match match chaos with Some _ as c -> c | None -> !default_chaos () with
-  | Some plan -> P.arm_chaos platform plan
-  | None -> ());
+  (match chaos with Some plan -> P.arm_chaos platform plan | None -> ());
   let hv = Hypervisor.Hv.create platform in
   let boot_image =
     [

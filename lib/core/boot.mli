@@ -39,22 +39,14 @@ val boot_veil :
   veil_system
 (** Defaults: [npages = 8192] (32 MB guest), KCI activated.  [?chaos]
     arms a Veil-Chaos fault plan on the platform right after creation
-    (so the boot sweep itself runs under injection); when absent,
-    {!default_chaos} is consulted. *)
-
-val default_chaos : (unit -> Chaos.Fault_plan.t option) ref
-(** Called by [boot_veil] when no explicit [?chaos] was given; the
-    chaos driver installs its per-trial plan here so existing
-    workloads run under fault injection without plumbing changes.
-    Defaults to [fun () -> None] (chaos disarmed). *)
+    (so the boot sweep itself runs under injection); it is the only
+    way a plan reaches a guest, so a boot without it runs disarmed. *)
 
 val boot_native : ?npages:int -> ?seed:int -> unit -> native_system
 
 val default_npages : int
 
 (* Veil-Ring: opt-in batched submission rings *)
-
-val default_ring_slots : int
 
 val enable_rings : ?slots:int -> veil_system -> unit -> unit
 (** Switch the booted system to batched monitor traffic: allocate one

@@ -36,7 +36,6 @@ let create rng ~platform_public ~expected_launch =
   { rng; platform_public; expected_launch; dh = Veil_crypto.Dh.keygen rng; session = None; seq = 0; peer = None }
 
 let connected t = t.session <> None
-let session_key t = t.session
 
 let disconnect t =
   t.session <- None;
@@ -135,9 +134,3 @@ let fetch_logs t slog vcpu =
               if not (Slog.verify_chain ~lines:lines' ~digest) then
                 Error (Tampering "log hash chain verification failed")
               else Ok lines'))
-
-let verify_enclave t enc ~enclave_id ~expected =
-  with_session t (fun _key ->
-      match Encsvc.find enc enclave_id with
-      | None -> Error (Rejected "no such enclave")
-      | Some e -> Ok (Bytes.equal (Encsvc.measurement e) expected))

@@ -47,8 +47,6 @@ val disconnect : t -> unit
     sealed operations fail with {!Disconnected} until {!connect}
     succeeds again. *)
 
-val session_key : t -> bytes option
-
 (* Sealed messages (shared by both endpoints) *)
 
 val seal : key:bytes -> seq:int -> dir:int -> bytes -> bytes
@@ -62,7 +60,3 @@ val open_ : key:bytes -> seq:int -> dir:int -> bytes -> (bytes, string) result
 val fetch_logs : t -> Slog.t -> Sevsnp.Vcpu.t -> (string list, error) result
 (** Retrieve all protected log lines over the channel and verify the
     hash chain; does not clear the store. *)
-
-val verify_enclave : t -> Encsvc.t -> enclave_id:int -> expected:bytes -> (bool, error) result
-(** Compare an enclave's measurement (obtained over the channel)
-    against a locally computed expectation. *)

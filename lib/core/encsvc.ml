@@ -437,9 +437,6 @@ let restore t vcpu ~enclave_id ~va ~gpfn : Idcb.response =
 
 (* --- §10 extensions: multi-VCPU scheduling & enclave memory sharing --- *)
 
-let schedule_on t vcpu enclave ~target_vcpu =
-  schedule_enc_vmsa t vcpu enclave ~vcpu_id:target_vcpu.Sevsnp.Vcpu.id
-
 let shared_with _t enclave = enclave.e_shared_in
 
 let set_measurement _t enclave m =

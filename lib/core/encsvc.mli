@@ -53,12 +53,6 @@ val enter : t -> Sevsnp.Vcpu.t -> enclave -> unit
 val exit_enclave : t -> Sevsnp.Vcpu.t -> enclave -> restore_ghcb:Sevsnp.Types.gpa -> unit
 (** Dom_ENC → Dom_UNT; restores the kernel GHCB MSR on the way out. *)
 
-val schedule_on : t -> Sevsnp.Vcpu.t -> enclave -> target_vcpu:Sevsnp.Vcpu.t -> (unit, string) result
-(** §10 multi-threading: synchronize [target_vcpu]'s Dom_ENC instance
-    (entry point, protected tables, user GHCB) with the enclave so a
-    thread can run there.  The OS scheduler requests this through
-    VeilMon; the calling context must be a trusted domain. *)
-
 val share_region :
   t ->
   Sevsnp.Vcpu.t ->

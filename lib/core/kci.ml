@@ -10,12 +10,10 @@ type t = {
   symbols : (string * int) list;  (** protected copy, taken at install time *)
   stats : stats;
   mutable activated : bool;
-  mutable module_text : T.gpfn list;
 }
 
 let stats t = t.stats
 let active t = t.activated
-let protected_module_frames t = t.module_text
 
 (* Kernel text: readable + supervisor-executable, never writable.
    Kernel data: read/write, never supervisor-executable. *)
@@ -91,7 +89,6 @@ let install_module t vcpu (image : Guest_kernel.Kmodule.image) text_gpfns data_g
           | Ok () -> ()
           | Error e -> failwith ("VeilS-KCI text protect: " ^ e))
         text_gpfns;
-      t.module_text <- text_gpfns @ t.module_text;
       Monitor.add_protected_frames t.mon ~owner:Privdom.Sec text_gpfns;
       t.stats.modules_loaded <- t.stats.modules_loaded + 1;
       Idcb.Resp_loaded
@@ -115,8 +112,6 @@ let uninstall_module t vcpu (loaded : Guest_kernel.Kmodule.loaded) =
       | Error e -> failwith ("VeilS-KCI unprotect: " ^ e))
     loaded.Guest_kernel.Kmodule.text_gpfns;
   Monitor.remove_protected_frames t.mon loaded.Guest_kernel.Kmodule.text_gpfns;
-  t.module_text <-
-    List.filter (fun f -> not (List.mem f loaded.Guest_kernel.Kmodule.text_gpfns)) t.module_text;
   t.stats.modules_unloaded <- t.stats.modules_unloaded + 1;
   Idcb.Resp_ok
 
@@ -135,7 +130,6 @@ let install mon ~vendor_public ~symbols =
       symbols;
       stats = { modules_loaded = 0; modules_unloaded = 0; rejected = 0 };
       activated = false;
-      module_text = [];
     }
   in
   Monitor.register_service mon ~name:"veils-kci" ~target:Privdom.Sec (fun m vcpu req ->

@@ -23,6 +23,3 @@ val activate : t -> Sevsnp.Vcpu.t -> unit
 
 val active : t -> bool
 val stats : t -> stats
-
-val protected_module_frames : t -> Sevsnp.Types.gpfn list
-(** Frames currently holding write-protected module text. *)

@@ -50,7 +50,6 @@ let standard ?log_frames ~npages () =
   }
 
 let region_size r = r.hi - r.lo
-let in_region r gpfn = gpfn >= r.lo && gpfn < r.hi
 
 let pp fmt t =
   let p name r = Format.fprintf fmt "%-12s [%6d, %6d)@." name r.lo r.hi in

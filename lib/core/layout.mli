@@ -23,5 +23,4 @@ val standard : ?log_frames:int -> npages:int -> unit -> t
 (** The default carve-up.  Needs [npages >= 1024]. *)
 
 val region_size : region -> int
-val in_region : region -> Sevsnp.Types.gpfn -> bool
 val pp : Format.formatter -> t -> unit

@@ -99,7 +99,6 @@ let hv t = t.hv
 let layout t = t.layout
 let stats t = t.stats
 let boot_vcpu t = t.boot_vcpu
-let monitor_ghcb_gpa t = t.mon_ghcb_gpa
 
 let charge t b n = V.charge t.boot_vcpu b n
 

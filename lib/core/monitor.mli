@@ -30,7 +30,6 @@ val hv : t -> Hypervisor.Hv.t
 val layout : t -> Layout.t
 val stats : t -> stats
 val boot_vcpu : t -> Sevsnp.Vcpu.t
-val monitor_ghcb_gpa : t -> Sevsnp.Types.gpa
 
 val vmsa_of : t -> vcpu_id:int -> dom:Privdom.t -> Sevsnp.Vmsa.t
 (** The replica instance for a (VCPU, domain); raises if missing. *)
@@ -42,7 +41,6 @@ val idcb_of : t -> vcpu_id:int -> Idcb.t
 val add_protected_frames : t -> owner:Privdom.t -> Sevsnp.Types.gpfn list -> unit
 val remove_protected_frames : t -> Sevsnp.Types.gpfn list -> unit
 val frame_is_protected : t -> Sevsnp.Types.gpfn -> bool
-val gpa_is_protected : t -> Sevsnp.Types.gpa -> bool
 
 (* Service plumbing *)
 
@@ -150,13 +148,6 @@ val mon_rmpadjust :
     (FAIL_INUSE) are re-attempted up to a fixed budget with
     exponential cycle-accounted backoff (["monitor.insn_retries"])
     before surfacing an explicit [Error]. *)
-
-val mon_pvalidate :
-  t -> Sevsnp.Vcpu.t -> gpfn:Sevsnp.Types.gpfn -> to_private:bool -> (unit, string) result
-(** PVALIDATE with the same bounded-retry treatment. *)
-
-val alloc_mon_frame : t -> Sevsnp.Types.gpfn
-(** Bump-allocate from the Dom_MON heap. *)
 
 val alloc_svc_frame : t -> Sevsnp.Types.gpfn
 

@@ -42,7 +42,6 @@ let create ~gpfn ~vcpu_id ~slots =
 
 let gpfn t = t.gpfn
 let vcpu_id t = t.vcpu_id
-let nslots t = t.mask + 1
 let pending t = t.head - t.tail
 let is_empty t = t.head = t.tail
 let is_full t = t.head - t.tail > t.mask

@@ -26,7 +26,6 @@ val create : gpfn:Sevsnp.Types.gpfn -> vcpu_id:int -> slots:int -> t
 
 val gpfn : t -> Sevsnp.Types.gpfn
 val vcpu_id : t -> int
-val nslots : t -> int
 
 val pending : t -> int
 (** Submitted-but-undrained slot count (head - tail). *)

@@ -10,9 +10,6 @@
 
 type t
 
-val n_pcrs : int
-(** Eight 32-byte PCR banks. *)
-
 val install : Monitor.t -> t
 (** Register with VeilMon; PCR storage comes from the Dom_SEC heap. *)
 

@@ -36,11 +36,6 @@ val equal : t -> t -> bool
 val is_zero : t -> bool
 val is_odd : t -> bool
 
-val bit_length : t -> int
-(** Number of significant bits; [bit_length zero = 0]. *)
-
-val testbit : t -> int -> bool
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

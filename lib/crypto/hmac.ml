@@ -24,8 +24,6 @@ let mac ~key msg =
   Sha256.update outer inner_digest;
   Sha256.finalize outer
 
-let mac_string ~key s = mac ~key (Bytes.of_string s)
-
 let verify ~key ~msg ~tag =
   let expected = mac ~key msg in
   if Bytes.length expected <> Bytes.length tag then false

@@ -6,7 +6,5 @@
 val mac : key:bytes -> bytes -> bytes
 (** 32-byte authentication tag. *)
 
-val mac_string : key:bytes -> string -> bytes
-
 val verify : key:bytes -> msg:bytes -> tag:bytes -> bool
 (** Constant-shape comparison of a recomputed tag against [tag]. *)

@@ -15,5 +15,3 @@ let add_string t ~label s = add_bytes t ~label (Bytes.of_string s)
 let add_int t ~label n = add_string t ~label (string_of_int n)
 
 let digest t = Sha256.finalize t.ctx
-
-let equal_digest a b = Bytes.equal a b

@@ -18,5 +18,3 @@ val add_int : t -> label:string -> int -> unit
 
 val digest : t -> bytes
 (** 32-byte final measurement.  The accumulator must not be reused. *)
-
-val equal_digest : bytes -> bytes -> bool

@@ -11,9 +11,8 @@
    The queue model is per-lane FCFS under round-robin dispatch.
 
    Execution: each isolation group — one guest, or every guest when a
-   least-loaded pick or an ambient fault plan couples them — lives its
-   whole lifetime as one task on an OCaml 5 domain ([run], DESIGN.md
-   §15). *)
+   least-loaded pick couples them — lives its whole lifetime as one
+   task on an OCaml 5 domain ([run], DESIGN.md §15). *)
 
 module Arrival = Arrival
 module T = Sevsnp.Types
@@ -30,6 +29,7 @@ module FP = Chaos.Fault_plan
 module Env = Workloads.Env
 module Http = Workloads.Http
 module Mcache = Workloads.Mcache
+module Servers = Workloads.Servers
 module Sqldb = Workloads.Sqldb
 
 type workload = Http | Memcached | Sqldb
@@ -179,45 +179,6 @@ let mk_env kernel proc ~rings ~seed =
     env_rings = rings;
   }
 
-(* memcached: one serve pass over every queued command (the servers.ml
-   protocol and cycle calibration, shared store semantics) *)
-let mc_serve env store server_conn =
-  let rec loop () =
-    match Env.recv env server_conn 4096 with
-    | None -> ()
-    | Some req when Bytes.length req = 0 -> ()
-    | Some req ->
-        List.iter
-          (fun line ->
-            let line = String.trim line in
-            if line <> "" then begin
-              env.Env.compute 610_000 (* command parse, hash, LRU, slab bookkeeping *);
-              match String.split_on_char ' ' line with
-              | [ "get"; key ] -> (
-                  match Mcache.get store key with
-                  | Some v ->
-                      let reply =
-                        Bytes.concat Bytes.empty
-                          [
-                            Bytes.of_string (Printf.sprintf "VALUE %s 0 %d\r\n" key (Bytes.length v));
-                            v;
-                            Bytes.of_string "\r\nEND\r\n";
-                          ]
-                      in
-                      ignore (Env.send env server_conn reply)
-                  | None -> ignore (Env.send env server_conn (Bytes.of_string "END\r\n")))
-              | [ "set"; key; len ] ->
-                  let n = int_of_string len in
-                  env.Env.compute (400 + n);
-                  Mcache.set store ~key ~value:(Veil_crypto.Rng.bytes env.Env.env_rng n) ();
-                  ignore (Env.send env server_conn (Bytes.of_string "STORED\r\n"))
-              | _ -> ignore (Env.send env server_conn (Bytes.of_string "ERROR\r\n"))
-            end)
-          (String.split_on_char '\n' (Bytes.to_string req));
-        loop ()
-  in
-  loop ()
-
 let sql_pad rng n = String.init n (fun _ -> Char.chr (Char.code 'a' + Arrival.uniform rng 26))
 
 let setup_workload cfg env cli rng =
@@ -251,7 +212,7 @@ let setup_workload cfg env cli rng =
       (* warm the store so gets hit *)
       for i = 0 to 63 do
         ignore (Env.send cli conn (Bytes.of_string (Printf.sprintf "set key%d 512\n" i)));
-        mc_serve env store server_conn;
+        Servers.mc_serve env store server_conn;
         ignore (Env.recv cli conn 256)
       done;
       St_mc { store; conn; server_conn }
@@ -268,12 +229,10 @@ let setup_workload cfg env cli rng =
       done;
       St_sql { db; next_row = 0 }
 
-let boot_guest cfg ~ambient id =
+let boot_guest cfg id =
   let seed = guest_seed cfg id in
   let plan = if cfg.chaos then Some (derived_plan seed) else None in
-  let sys =
-    B.boot_veil ~npages:guest_npages ~seed ?chaos:(if cfg.chaos then plan else ambient) ()
-  in
+  let sys = B.boot_veil ~npages:guest_npages ~seed ?chaos:plan () in
   let smp = Smp.bring_up sys ~nvcpus:cfg.vcpus () in
   if cfg.rings then B.enable_rings sys ();
   let kernel = sys.B.kernel in
@@ -337,12 +296,12 @@ let serve_mc g store conn server_conn =
   if Arrival.uniform g.g_rng 10 = 0 then begin
     let sz = Arrival.pareto_size g.g_rng ~xm:64 ~alpha:1.3 ~cap:4096 in
     ignore (Env.send g.g_cli conn (Bytes.of_string (Printf.sprintf "set %s %d\n" key sz)));
-    mc_serve g.g_env store server_conn;
+    Servers.mc_serve g.g_env store server_conn;
     ignore (Env.recv g.g_cli conn 256)
   end
   else begin
     ignore (Env.send g.g_cli conn (Bytes.of_string (Printf.sprintf "get %s\n" key)));
-    mc_serve g.g_env store server_conn;
+    Servers.mc_serve g.g_env store server_conn;
     ignore (Env.recv g.g_cli conn 65536)
   end
 
@@ -580,11 +539,9 @@ type outcome = {
 
 (* A group's whole lifetime: boot its guests, serve their share, tear
    them down. *)
-let run_group cfg ~ambient ~due members =
+let run_group cfg ~due members =
   let slots = Array.make cfg.guests None in
-  List.iter
-    (fun pos -> slots.(pos) <- Some (boot_guest cfg ~ambient (cfg.first_guest + pos)))
-    members;
+  List.iter (fun pos -> slots.(pos) <- Some (boot_guest cfg (cfg.first_guest + pos))) members;
   let picks = serve_share cfg due slots in
   let guests = List.filter_map (fun pos -> slots.(pos)) members in
   let reports = List.map (finish cfg) guests in
@@ -628,9 +585,6 @@ let run_tasks n task =
 
 let run cfg =
   validate cfg;
-  (* Resolved once, here: guests booted without their own plan all arm
-     this one, so they consume one shared stream of fault draws. *)
-  let ambient = if cfg.chaos then None else !B.default_chaos () in
   let due =
     match cfg.mode with
     | Closed_loop -> [||]
@@ -641,18 +595,15 @@ let run cfg =
             clock := !clock + Arrival.next_gap arr;
             !clock)
   in
-  (* Isolation groups: every guest alone, unless a least-loaded pick or
-     a shared fault plan couples them — then all of them, request by
-     request (DESIGN.md §15). *)
+  (* Isolation groups: every guest alone, unless a least-loaded pick
+     couples them — then all of them, request by request (DESIGN.md
+     §15). *)
   let positions = List.init cfg.guests Fun.id in
   let groups =
-    if Option.is_some ambient || (cfg.mode = Open_loop && cfg.lb = Least_loaded) then
-      [| positions |]
+    if cfg.mode = Open_loop && cfg.lb = Least_loaded then [| positions |]
     else Array.of_list (List.map (fun pos -> [ pos ]) positions)
   in
-  let outcomes =
-    run_tasks (Array.length groups) (fun i -> run_group cfg ~ambient ~due groups.(i))
-  in
+  let outcomes = run_tasks (Array.length groups) (fun i -> run_group cfg ~due groups.(i)) in
   let lbj = Bytes.make cfg.requests '?' in
   List.iter (fun o -> List.iter (fun (k, d) -> Bytes.set lbj k d) o.o_picks) outcomes;
   let wall = List.fold_left (fun acc o -> max acc o.o_wall) 0 outcomes in

@@ -70,9 +70,6 @@ val default : config
     calibrated single-lane service rate, open loop, round-robin,
     seed 97. *)
 
-val guest_seed : config -> int -> int
-(** The derived per-guest boot seed for guest id [i]. *)
-
 type guest_report = {
   gr_id : int;
   gr_seed : int;

@@ -23,7 +23,4 @@ let kind_to_string = function Code -> "code" | Data -> "data" | Stack -> "stack"
 
 let npages t = List.length t.pages
 
-let page_at t va =
-  List.find_opt (fun p -> p.page_va = va land lnot (Sevsnp.Types.page_size - 1)) t.pages
-
 let frames t = List.map (fun p -> p.page_gpfn) t.pages

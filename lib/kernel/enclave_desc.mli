@@ -29,5 +29,4 @@ val prot_of_kind : page_kind -> Ktypes.prot
 val kind_to_string : page_kind -> string
 
 val npages : t -> int
-val page_at : t -> Sevsnp.Types.va -> page option
 val frames : t -> Sevsnp.Types.gpfn list

@@ -62,8 +62,6 @@ let set_audit_protection t enabled =
 let set_ring_flush t f = t.ring_flush <- f
 
 let hooks t = t.hooks
-let text_range t = t.text
-let data_range t = t.data
 let symbol_table t = t.symbols
 let jiffies t = t.jiffies
 let syscalls_invoked t = t.syscalls
@@ -110,13 +108,6 @@ let share_page_with_host t gpfn =
   | Error _ as e -> e
   | Ok () ->
       notify_host_page_state t gpfn true;
-      Ok ()
-
-let accept_page_from_host t gpfn =
-  match pvalidate_op t gpfn true with
-  | Error _ as e -> e
-  | Ok () ->
-      notify_host_page_state t gpfn false;
       Ok ()
 
 let ghcb t = match t.ghcb with Some g -> g | None -> failwith "kernel GHCB not set up"

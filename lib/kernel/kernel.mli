@@ -59,8 +59,6 @@ val set_ring_flush : t -> (unit -> unit) option -> unit
 
 val hooks : t -> Hooks.t
 
-val text_range : t -> int * int
-val data_range : t -> int * int
 val symbol_table : t -> (string * int) list
 (** Exported kernel symbols (name, address) for module relocation. *)
 
@@ -79,8 +77,6 @@ val share_page_with_host : t -> Sevsnp.Types.gpfn -> (unit, string) result
 (** Page-state change to shared (bounce buffers, GHCBs): PVALIDATE is
     executed directly at VMPL-0, or delegated via [h_pvalidate]. *)
 
-val accept_page_from_host : t -> Sevsnp.Types.gpfn -> (unit, string) result
-
 (* Processes *)
 
 val spawn : t -> Process.t
@@ -91,8 +87,6 @@ val init_process : t -> Process.t
 
 val map_user_pages : t -> Process.t -> va:Sevsnp.Types.va -> npages:int -> prot:Ktypes.prot -> unit
 (** Allocate frames and install user mappings in the process tables. *)
-
-val unmap_user_pages : t -> Process.t -> va:Sevsnp.Types.va -> npages:int -> unit
 
 val write_user : t -> Process.t -> va:Sevsnp.Types.va -> bytes -> unit
 (** Copy into user memory through the process page tables (checked). *)

@@ -21,9 +21,6 @@ val build :
 (** Synthesize a module image with one relocation per listed symbol at
     deterministic offsets. *)
 
-val image_digest : image -> bytes
-(** SHA-256 over name, text, data and relocations — the signed message. *)
-
 val sign : Veil_crypto.Rng.t -> vendor_secret:Veil_crypto.Bignum.t -> image -> unit
 val verify : vendor_public:Veil_crypto.Bignum.t -> image -> bool
 

@@ -40,32 +40,10 @@ let errno_to_string = function
   | EPERM -> "EPERM"
   | EFAULT -> "EFAULT"
 
-let errno_code = function
-  | EPERM -> 1
-  | ENOENT -> 2
-  | EBADF -> 9
-  | EAGAIN -> 11
-  | ENOMEM -> 12
-  | EACCES -> 13
-  | EFAULT -> 14
-  | EEXIST -> 17
-  | ENOTDIR -> 20
-  | EISDIR -> 21
-  | EINVAL -> 22
-  | ENFILE -> 23
-  | ESPIPE -> 29
-  | EPIPE -> 32
-  | EADDRINUSE -> 98
-  | ECONNREFUSED -> 111
-  | ENOTCONN -> 107
-  | ENOSPC -> 28
-  | ENOSYS -> 38
-
 type open_flag = O_RDONLY | O_WRONLY | O_RDWR | O_CREAT | O_TRUNC | O_APPEND | O_EXCL
 
 type prot = { pr : bool; pw : bool; px : bool }
 
-let prot_none = { pr = false; pw = false; px = false }
 let prot_rw = { pr = true; pw = true; px = false }
 let prot_r = { pr = true; pw = false; px = false }
 let prot_rx = { pr = true; pw = false; px = true }
@@ -77,13 +55,6 @@ type stat = { st_size : int; st_is_dir : bool; st_mode : int; st_ino : int }
 type arg = Int of int | Str of string | Buf of bytes | Ptr of int
 
 type ret = RInt of int | RBuf of bytes | RStat of stat | RErr of errno
-
-let ret_errno = function RErr e -> Some e | _ -> None
-
-let ret_int = function
-  | RInt n -> Ok n
-  | RErr e -> Error e
-  | RBuf _ | RStat _ -> Error EINVAL
 
 let bprint_arg buf = function
   | Int n -> Printf.bprintf buf "%d" n

@@ -22,13 +22,11 @@ type errno =
   | EFAULT
 
 val errno_to_string : errno -> string
-val errno_code : errno -> int
 
 type open_flag = O_RDONLY | O_WRONLY | O_RDWR | O_CREAT | O_TRUNC | O_APPEND | O_EXCL
 
 type prot = { pr : bool; pw : bool; px : bool }
 
-val prot_none : prot
 val prot_rw : prot
 val prot_r : prot
 val prot_rx : prot
@@ -46,10 +44,6 @@ type arg =
   | Ptr of int  (** raw user pointer (checked by IAGO sanitisation) *)
 
 type ret = RInt of int | RBuf of bytes | RStat of stat | RErr of errno
-
-val ret_errno : ret -> errno option
-val ret_int : ret -> (int, errno) result
-(** [Error EINVAL] when the return is not an int shape. *)
 
 val bprint_arg : Buffer.t -> arg -> unit
 (** The argument as the audit log renders it: [%d], [%S], [<buf:LEN>]

@@ -24,11 +24,9 @@ type t = {
 }
 
 (* 39-bit VA space (3-level tables): keep regions well apart. *)
-let user_va_base = 0x0000_40_0000
 let brk_base = 0x0010_00_0000
 let mmap_base = 0x0100_00_0000
 let enclave_base = 0x0800_00_0000
-let stack_base = 0x1000_00_0000
 
 let create ~pid ~ppid ~pt_root =
   {

@@ -36,9 +36,6 @@ val find_vma : t -> Sevsnp.Types.va -> vma option
 val add_vma : t -> vma -> unit
 val remove_vma : t -> Sevsnp.Types.va -> bool
 
-val user_va_base : Sevsnp.Types.va
 val mmap_base : Sevsnp.Types.va
 val enclave_base : Sevsnp.Types.va
 (** Start of the enclave region inside the address space. *)
-
-val stack_base : Sevsnp.Types.va

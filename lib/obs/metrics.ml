@@ -235,7 +235,6 @@ let snap_slots s = s.slen
 let snap_name s i = s.snames.(i)
 let snap_kind s i = s.skinds.(i)
 let snap_offset s i = s.soffs.(i)
-let snap_data s = s.sdata
 
 let diff ~prev ~cur ~into =
   (* Per-interval deltas of [cur] against [prev], written into the

@@ -114,8 +114,6 @@ val snap_slots : snapshot -> int
 val snap_name : snapshot -> int -> string
 val snap_kind : snapshot -> int -> skind
 val snap_offset : snapshot -> int -> int
-val snap_data : snapshot -> int array
-(** The raw slot array (do not resize; indices per {!snap_offset}). *)
 
 val diff : prev:snapshot -> cur:snapshot -> into:int array -> unit
 (** Per-interval deltas of [cur] against [prev], written into the
@@ -125,19 +123,16 @@ val diff : prev:snapshot -> cur:snapshot -> into:int array -> unit
     and histogram min/max slots carry the current value.  Metrics
     registered after [prev] was taken delta against zero. *)
 
-val merge_into : into:t -> t -> unit
-(** Accumulate every metric of the source registry into [into],
-    get-or-creating by name: counters and gauges add, histogram
-    buckets / count / sum add bucket-wise, min/max widen.  This is the
+val merge : t list -> t
+(** A fresh registry holding the sum of the given registries —
+    fleet-aggregate percentiles read straight off it.  Metrics are
+    matched by name: counters and gauges add, histogram buckets /
+    count / sum add bucket-wise, min/max widen.  This is the
     cross-instance (Veil-Fleet) aggregation path and is deliberately
     *not* {!diff}: sources are absolute per-instance totals, so no
     Prometheus counter-reset semantics are applied — merging guests
     with different reset epochs is exact.  Raises [Invalid_argument]
-    if a name is registered in [into] as a different metric kind. *)
-
-val merge : t list -> t
-(** A fresh registry holding the {!merge_into} sum of the given
-    registries — fleet-aggregate percentiles read straight off it. *)
+    if a name is registered as two different metric kinds. *)
 
 val names : t -> string list
 (** All registered names, sorted. *)

@@ -98,7 +98,6 @@ let create ?(ring_cap = 64) ~metrics () =
 let set_tracer t tr = t.tracer <- tr
 let armed t = t.armed
 let interval_cycles t = t.interval
-let ring_capacity t = t.ring_cap
 
 let reset_series t =
   t.captured <- 0;

@@ -47,7 +47,6 @@ val arm : t -> interval:int -> now:int -> unit
 val disarm : t -> unit
 val armed : t -> bool
 val interval_cycles : t -> int
-val ring_capacity : t -> int
 
 val tick : t -> now:int -> bool
 (** The world-exit hook.  Disarmed: one flag test.  Armed: advance the

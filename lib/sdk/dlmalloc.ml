@@ -32,8 +32,6 @@ let malloc t n =
     take [] t.free_list
   end
 
-let calloc t n = malloc t n
-
 let insert_coalesced free_list (addr, size) =
   (* Address-sort, then one linear coalescing pass. *)
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) ((addr, size) :: free_list) in
@@ -53,21 +51,6 @@ let free t addr =
       t.free_list <- insert_coalesced t.free_list (addr, size)
 
 let block_size t addr = Hashtbl.find_opt t.live addr
-
-let realloc t addr n =
-  match Hashtbl.find_opt t.live addr with
-  | None -> malloc t n
-  | Some old_size ->
-      if round_up n <= old_size then Some addr
-      else begin
-        match malloc t n with
-        | None -> None
-        | Some fresh ->
-            free t addr;
-            Some fresh
-      end
-
-let allocated_bytes t = t.allocated
 
 let free_bytes t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.free_list
 

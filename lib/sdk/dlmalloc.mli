@@ -13,15 +13,10 @@ val create : base:int -> size:int -> t
 val malloc : t -> int -> int option
 (** 16-byte-aligned allocation; [None] when out of memory. *)
 
-val calloc : t -> int -> int option
 val free : t -> int -> unit
 (** Raises [Invalid_argument] on a pointer not returned by [malloc]
     (double free or wild free). *)
 
-val realloc : t -> int -> int -> int option
-
-val allocated_bytes : t -> int
-val free_bytes : t -> int
 val block_size : t -> int -> int option
 (** Size of the live block at an address, if any. *)
 

@@ -18,7 +18,6 @@ type t = {
   rt : Runtime.t;
   slots : slot array;
   mutable next : int;
-  mutable total : int;
 }
 
 type ticket = int
@@ -37,7 +36,6 @@ let create rt ~slots =
           Array.init slots (fun _ ->
               { sl_busy = false; sl_sys = S.Getpid; sl_args = []; sl_done = false; sl_res = K.RInt 0 });
         next = 0;
-        total = 0;
       }
   end
 
@@ -70,7 +68,6 @@ let submit_prepared t p =
   slot.sl_done <- false;
   let ticket = t.next in
   t.next <- t.next + 1;
-  t.total <- t.total + 1;
   ticket
 
 let cancel t ticket =
@@ -126,5 +123,3 @@ let await t ~worker ticket =
       | None -> failwith "exitless: completion lost")
 
 let pending t = Array.fold_left (fun acc s -> if s.sl_busy then acc + 1 else acc) 0 t.slots
-
-let submitted_total t = t.total

@@ -53,4 +53,3 @@ val await : t -> worker:Sevsnp.Vcpu.t -> ticket -> Guest_kernel.Ktypes.ret
 (** Convenience: drain on the worker, then read the completion. *)
 
 val pending : t -> int
-val submitted_total : t -> int

@@ -53,21 +53,12 @@ let send t fd data = int_ret (Runtime.ocall t S.Sendto [ K.Int fd; K.Buf data ])
 
 let recv t fd len = buf_ret (Runtime.ocall t S.Recvfrom [ K.Int fd; K.Int len ])
 
-let console_fd = Hashtbl.create 4
-
 let printf t fmt =
   Printf.ksprintf
     (fun s ->
-      let fd =
-        match Hashtbl.find_opt console_fd (Runtime.proc t).Guest_kernel.Process.pid with
-        | Some fd -> fd
-        | None -> (
-            match open_ t "/dev/console" ~flags:o_wronly ~mode:0o644 with
-            | Ok fd ->
-                Hashtbl.replace console_fd (Runtime.proc t).Guest_kernel.Process.pid fd;
-                fd
-            | Error _ -> -1)
-      in
+      if Runtime.console t < 0 then
+        Result.iter (Runtime.set_console t) (open_ t "/dev/console" ~flags:o_wronly ~mode:0o644);
+      let fd = Runtime.console t in
       if fd >= 0 then ignore (write t fd (Bytes.of_string s)))
     fmt
 

@@ -173,8 +173,6 @@ let fread t f n =
     Ok (Buffer.to_bytes out)
   end
 
-let fflush t f = flush_wbuf t f
-
 let fclose t f =
   if f.closed then Error "stream already closed"
   else begin

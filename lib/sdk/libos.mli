@@ -30,7 +30,6 @@ type file
 val fopen : t -> string -> mode:[ `Read | `Write | `Append ] -> (file, string) result
 val fwrite : t -> file -> bytes -> (int, string) result
 val fread : t -> file -> int -> (bytes, string) result
-val fflush : t -> file -> (unit, string) result
 val fclose : t -> file -> (unit, string) result
 
 val unlink : t -> string -> (unit, string) result

@@ -19,18 +19,10 @@ let int_of = function K.RInt n -> n | _ -> -1
 
 let o rt sys args = Runtime.ocall rt sys args
 
-(* ports must be unique across the whole battery: listeners persist in
-   the guest's network stack between cases *)
-let next_port = ref 6100
-
-let fresh_port () =
-  incr next_port;
-  !next_port
-
 (* Open a scratch file and return its fd. *)
 let scratch rt name = int_of (o rt S.Open [ K.Str ("/tmp/ltp-" ^ name); K.Int 0x42; K.Int 0o644 ])
 
-let sock_pair rt =
+let sock_pair ~fresh_port rt =
   (* listener + connected client through the loopback stack *)
   let port = fresh_port () in
   let srv = int_of (o rt S.Socket [ K.Int 2; K.Int 1; K.Int 0 ]) in
@@ -43,7 +35,7 @@ let sock_pair rt =
 
 (* Positive (semantic) cases per call.  Each returns true on
    spec-conformant behaviour. *)
-let positive (sys : S.t) : case list =
+let positive ~fresh_port (sys : S.t) : case list =
   match sys with
   | S.Open ->
       [
@@ -170,7 +162,7 @@ let positive (sys : S.t) : case list =
   | S.Connect ->
       [
         (fun rt ->
-          let c, _ = sock_pair rt in
+          let c, _ = sock_pair ~fresh_port rt in
           c >= 0);
         (fun rt ->
           let fd = int_of (o rt S.Socket [ K.Int 2; K.Int 1; K.Int 0 ]) in
@@ -187,32 +179,32 @@ let positive (sys : S.t) : case list =
   | S.Sendto | S.Sendmsg ->
       [
         (fun rt ->
-          let cli, _conn = sock_pair rt in
+          let cli, _conn = sock_pair ~fresh_port rt in
           o rt sys [ K.Int cli; K.Buf (Bytes.of_string "p") ] = K.RInt 1);
       ]
   | S.Recvfrom | S.Recvmsg ->
       [
         (fun rt ->
-          let cli, conn = sock_pair rt in
+          let cli, conn = sock_pair ~fresh_port rt in
           ignore (o rt S.Sendto [ K.Int cli; K.Buf (Bytes.of_string "q") ]);
           o rt sys [ K.Int conn; K.Int 8 ] = K.RBuf (Bytes.of_string "q"));
       ]
   | S.Shutdown ->
       [
         (fun rt ->
-          let cli, _ = sock_pair rt in
+          let cli, _ = sock_pair ~fresh_port rt in
           o rt S.Shutdown [ K.Int cli ] = K.RInt 0);
       ]
   | S.Getsockname | S.Getpeername ->
       [
         (fun rt ->
-          let cli, _ = sock_pair rt in
+          let cli, _ = sock_pair ~fresh_port rt in
           is_int (o rt sys [ K.Int cli ]));
       ]
   | S.Setsockopt | S.Getsockopt ->
       [
         (fun rt ->
-          let cli, _ = sock_pair rt in
+          let cli, _ = sock_pair ~fresh_port rt in
           is_int (o rt sys [ K.Int cli; K.Int 1; K.Int 1 ]));
       ]
   | S.Socketpair ->
@@ -410,16 +402,14 @@ let negative (sys : S.t) : case list =
   in
   arity @ wrong_type @ bad_fd @ bad_path
 
-let battery sys = positive sys @ negative sys
+let battery ~fresh_port sys = positive ~fresh_port sys @ negative sys
 
-let cases_for sys = List.length (battery sys)
-
-let run_one sys_boot (sysno : S.t) =
+let run_one ~fresh_port sys_boot (sysno : S.t) =
   let proc = Guest_kernel.Kernel.spawn sys_boot.Veil_core.Boot.kernel in
   match Runtime.create sys_boot ~heap_pages:8 ~stack_pages:2 ~binary:(Bytes.make 4096 'L') proc with
   | Error e -> failwith ("ltp: " ^ e)
   | Ok rt ->
-      let cases = battery sysno in
+      let cases = battery ~fresh_port sysno in
       let passed = ref 0 and killed = ref false in
       (try
          Runtime.run rt (fun rt -> List.iter (fun case -> if case rt then incr passed) cases)
@@ -427,7 +417,15 @@ let run_one sys_boot (sysno : S.t) =
       if not !killed then ignore (Runtime.destroy rt);
       { lsys = sysno; total = List.length cases; passed = !passed; killed = !killed }
 
-let run_all sys_boot = List.map (run_one sys_boot) S.all
+let run_all sys_boot =
+  (* ports must be unique across the whole battery: listeners persist in
+     the guest's network stack between cases *)
+  let port = ref 6100 in
+  let fresh_port () =
+    incr port;
+    !port
+  in
+  List.map (run_one ~fresh_port sys_boot) S.all
 
 let summarize results =
   {

@@ -22,12 +22,8 @@ type summary = {
   cases_passed : int;
 }
 
-val cases_for : Guest_kernel.Sysno.t -> int
-(** Number of battery cases defined for a call (>= 2 for every call). *)
-
-val run_one : Veil_core.Boot.veil_system -> Guest_kernel.Sysno.t -> result
-(** Fresh enclave, run the call's battery. *)
-
 val run_all : Veil_core.Boot.veil_system -> result list
+(** A fresh enclave per call, each running that call's battery, in
+    {!Guest_kernel.Sysno.all} order. *)
 
 val summarize : result list -> summary

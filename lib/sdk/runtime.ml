@@ -33,6 +33,7 @@ type t = {
   mutable last_tick : int;
   mutable killed : bool;
   mutable cur_vcpu : Sevsnp.Vcpu.t option;  (** VCPU the thread is pinned to *)
+  mutable console : int;  (** console fd cached by [Libc.printf]; -1 until opened *)
 }
 
 let tick_period = C.freq_hz / 250 (* 250 Hz guest timer *)
@@ -42,6 +43,8 @@ let proc t = t.proc
 let enclave t = t.enclave
 let stats t = t.stats
 let inside t = t.is_inside
+let console t = t.console
+let set_console t fd = t.console <- fd
 
 let measurement t =
   match t.desc.Ed.measurement with Some m -> m | None -> failwith "enclave not measured"
@@ -99,6 +102,7 @@ let create sys ?(heap_pages = 16) ?(stack_pages = 4) ~binary proc =
               last_tick = Sevsnp.Vcpu.rdtsc vcpu;
               killed = false;
               cur_vcpu = None;
+              console = -1;
             }
       | _ -> Error "enclave descriptor missing after creation")
   | _ -> Error "unexpected ioctl return"

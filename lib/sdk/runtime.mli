@@ -40,6 +40,11 @@ val measurement : t -> bytes
 val stats : t -> stats
 val inside : t -> bool
 
+val console : t -> int
+(** The console fd {!Libc.printf} writes to; -1 until it is opened. *)
+
+val set_console : t -> int -> unit
+
 val run : t -> (t -> 'a) -> 'a
 (** Enter the enclave, execute the body, exit.  The body runs at
     Dom_ENC: its memory accesses and ocalls carry enclave costs. *)

@@ -30,6 +30,3 @@ val report : t -> requester_vmpl:Types.vmpl -> report_data:bytes -> report
 
 val verify : public_key:Veil_crypto.Bignum.t -> report -> bool
 (** Remote-user-side signature check. *)
-
-val report_message : report -> bytes
-(** The exact byte string the platform signs (exposed for tests). *)

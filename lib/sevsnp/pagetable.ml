@@ -1,10 +1,7 @@
 type flags = { present : bool; writable : bool; user : bool; nx : bool }
 
-let flags_none = { present = false; writable = false; user = false; nx = false }
 let kernel_rw = { present = true; writable = true; user = false; nx = true }
-let kernel_rx = { present = true; writable = false; user = false; nx = false }
 let user_rw = { present = true; writable = true; user = true; nx = true }
-let user_rx = { present = true; writable = false; user = true; nx = false }
 let user_ro = { present = true; writable = false; user = true; nx = true }
 
 type pte = { pte_gpfn : Types.gpfn; pte_flags : flags }

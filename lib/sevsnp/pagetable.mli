@@ -10,11 +10,8 @@
 
 type flags = { present : bool; writable : bool; user : bool; nx : bool }
 
-val flags_none : flags
 val kernel_rw : flags
-val kernel_rx : flags
 val user_rw : flags
-val user_rx : flags
 val user_ro : flags
 
 type pte = { pte_gpfn : Types.gpfn; pte_flags : flags }
@@ -35,7 +32,6 @@ type io = {
 }
 
 val levels : int
-val va_bits : int
 val max_va : Types.va
 
 val index : level:int -> Types.va -> int

@@ -2,7 +2,6 @@ type t = { read : bool; write : bool; user_exec : bool; super_exec : bool }
 
 let none = { read = false; write = false; user_exec = false; super_exec = false }
 let all = { read = true; write = true; user_exec = true; super_exec = true }
-let ro = { none with read = true }
 let rw = { none with read = true; write = true }
 let rx = { none with read = true; user_exec = true; super_exec = true }
 let r_user_exec = { none with read = true; user_exec = true }

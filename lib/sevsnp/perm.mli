@@ -8,8 +8,6 @@ type t = { read : bool; write : bool; user_exec : bool; super_exec : bool }
 
 val none : t
 val all : t
-val ro : t
-(** Read-only: read permitted, nothing else. *)
 
 val rw : t
 (** Read + write, no execute. *)

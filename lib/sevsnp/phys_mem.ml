@@ -1,9 +1,7 @@
 (* Chunked arena: guest-physical space is carved into 64-page (256 KiB)
    chunks materialized on first write, preserving the old sparse
    lazy-zero-fill semantics while making the common access a single
-   array load + blit instead of a Hashtbl probe per page.  A per-page
-   touched byte keeps [page_is_materialized]'s write-tracking
-   semantics.
+   array load + blit instead of a Hashtbl probe per page.
 
    A chunk may be shared with other instances (Veil-Explore forks all
    attach one snapshot's chunks): its [shared] byte is set, readers
@@ -24,7 +22,6 @@ type t = {
       (* this instance's unmaterialized-slot sentinel: one block for
          every empty slot, so a detached instance marshals like a
          fresh one *)
-  touched : Bytes.t;
 }
 
 let create ~npages =
@@ -37,13 +34,10 @@ let create ~npages =
     chunks = Array.make nchunks empty;
     shared = Bytes.make nchunks '\000';
     empty;
-    touched = Bytes.make npages '\000';
   }
 
 let npages t = t.npages
 let bytes_size t = t.nbytes
-
-let valid_gpa t gpa = gpa >= 0 && gpa < t.nbytes
 
 let check_range t gpa len =
   (* [gpa > t.nbytes - len], not [gpa + len > t.nbytes]: the sum can
@@ -63,13 +57,6 @@ let chunk_rw t gpa =
     Bytes.unsafe_set t.shared ci '\000';
     Array.unsafe_set t.chunks ci c;
     c
-  end
-
-let mark_written t gpa len =
-  if len > 0 then begin
-    let first = Types.gpfn_of_gpa gpa and last = Types.gpfn_of_gpa (gpa + len - 1) in
-    if first = last then Bytes.set t.touched first '\001'
-    else Bytes.fill t.touched first (last - first + 1) '\001'
   end
 
 let read_into t gpa buf pos len =
@@ -95,7 +82,6 @@ let read t gpa len =
 let write_sub t gpa data pos len =
   check_range t gpa len;
   if pos < 0 || len < 0 || pos + len > Bytes.length data then invalid_arg "Phys_mem.write_sub";
-  mark_written t gpa len;
   let p = ref 0 in
   while !p < len do
     let a = gpa + !p in
@@ -114,7 +100,6 @@ let read_byte t gpa =
 
 let write_byte t gpa v =
   check_range t gpa 1;
-  Bytes.set t.touched (Types.gpfn_of_gpa gpa) '\001';
   Bytes.unsafe_set (chunk_rw t gpa) (gpa land (chunk_bytes - 1)) (Char.chr (v land 0xff))
 
 (* Fault-injection support (Veil-Chaos): DRAM disturbance in a single
@@ -155,7 +140,6 @@ let read_u64 t gpa =
 
 let write_u64 t gpa v =
   check_range t gpa 8;
-  mark_written t gpa 8;
   let off = gpa land (chunk_bytes - 1) in
   if off <= chunk_bytes - 8 then begin
     let c = chunk_rw t gpa in
@@ -178,9 +162,6 @@ let zero_page t gpfn =
   let gpa = Types.gpa_of_gpfn gpfn in
   if Bytes.length (Array.unsafe_get t.chunks (gpa lsr chunk_shift)) <> 0 then
     Bytes.fill (chunk_rw t gpa) (gpa land (chunk_bytes - 1)) Types.page_size '\000'
-
-let page_is_materialized t gpfn =
-  gpfn >= 0 && gpfn < t.npages && Bytes.get t.touched gpfn <> '\000'
 
 let detach t =
   let chunks = Array.copy t.chunks in

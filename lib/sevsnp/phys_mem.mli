@@ -18,8 +18,6 @@ val create : npages:int -> t
 val npages : t -> int
 val bytes_size : t -> int
 
-val valid_gpa : t -> Types.gpa -> bool
-
 val read : t -> Types.gpa -> int -> bytes
 (** [read t gpa len] copies [len] bytes.  Raises [Invalid_argument] on
     out-of-range access. *)
@@ -50,10 +48,6 @@ val write_u64 : t -> Types.gpa -> int -> unit
 
 val zero_page : t -> Types.gpfn -> unit
 (** Zero one frame; a no-op on an unmaterialized chunk. *)
-
-val page_is_materialized : t -> Types.gpfn -> bool
-(** True when the frame has been written to (used by tests and by the
-    boot-cost model to distinguish touched pages). *)
 
 val detach : t -> bytes array
 (** Move the chunks out: returns them (empty slots as zero-length

@@ -164,8 +164,6 @@ let raise_npf_at t vcpu info =
   t.halted <- Some (Format.asprintf "%a" Types.pp_npf info);
   raise (Types.Npf info)
 
-let raise_npf t info = raise_npf_at t None info
-
 (* --- launch --- *)
 
 let launch_load t ~entry_name segments =
@@ -375,19 +373,6 @@ let read_u64_via_pt t vcpu ~root va =
     done;
     !v land max_int
   end
-
-let write_u64_via_pt t vcpu ~root va v =
-  check_running t;
-  if Types.page_offset va <= Types.page_size - 8 then begin
-    let gpfn = tlb_translate t vcpu ~root va Types.Write in
-    Phys_mem.write_u64 t.mem (Types.gpa_of_gpfn gpfn + Types.page_offset va) v
-  end
-  else
-    for i = 0 to 7 do
-      let a = va + i in
-      let gpfn = tlb_translate t vcpu ~root a Types.Write in
-      Phys_mem.write_byte t.mem (Types.gpa_of_gpfn gpfn + Types.page_offset a) ((v lsr (8 * i)) land 0xff)
-    done
 
 let check_exec_via_pt t vcpu ~root va =
   check_running t;

@@ -68,8 +68,6 @@ val create : ?seed:int -> npages:int -> unit -> t
 val halt : t -> string -> 'a
 (** Record the halt and raise {!Types.Cvm_halted}. *)
 
-val check_running : t -> unit
-
 val is_halted : t -> string option
 
 (* Veil-Chaos fault injection *)
@@ -175,8 +173,6 @@ val read_u64_via_pt : t -> Vcpu.t -> root:Types.gpfn -> Types.va -> int
 (** Translated u64 load.  On a TLB hit this is allocation-free: probe,
     cached permission evaluation, direct arena load. *)
 
-val write_u64_via_pt : t -> Vcpu.t -> root:Types.gpfn -> Types.va -> int -> unit
-
 val check_exec_via_pt : t -> Vcpu.t -> root:Types.gpfn -> Types.va -> unit
 (** Instruction-fetch check through the translation path (faults like
     {!read_via_pt} but with [Execute] semantics — shared pages and NX
@@ -239,9 +235,6 @@ val install_vmsa : t -> Vmsa.t -> (unit, string) result
 val vmsa_at : t -> Types.gpfn -> Vmsa.t option
 (** Hardware lookup used by the hypervisor at VMRUN; [None] when the
     frame is not a valid VMSA (the spawn-VCPU attack of Table 1). *)
-
-val raise_npf : t -> Types.npf_info -> 'a
-(** Record the fault, halt the CVM and raise {!Types.Npf}. *)
 
 (* Host-side (hypervisor / external) memory access *)
 

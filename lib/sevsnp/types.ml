@@ -26,13 +26,6 @@ let page_offset gpa = gpa land (page_size - 1)
 
 let vmpl_index = function Vmpl0 -> 0 | Vmpl1 -> 1 | Vmpl2 -> 2 | Vmpl3 -> 3
 
-let vmpl_of_index = function
-  | 0 -> Vmpl0
-  | 1 -> Vmpl1
-  | 2 -> Vmpl2
-  | 3 -> Vmpl3
-  | n -> invalid_arg (Printf.sprintf "vmpl_of_index: %d" n)
-
 let vmpl_strictly_higher a b = vmpl_index a < vmpl_index b
 
 let pp_vmpl fmt v = Format.fprintf fmt "VMPL-%d" (vmpl_index v)
@@ -48,4 +41,3 @@ let pp_npf fmt i =
     pp_access i.fault_access i.fault_reason
 
 let equal_vmpl (a : vmpl) b = a = b
-let equal_cpl (a : cpl) b = a = b

@@ -43,7 +43,6 @@ val gpa_of_gpfn : gpfn -> gpa
 val page_offset : gpa -> int
 
 val vmpl_index : vmpl -> int
-val vmpl_of_index : int -> vmpl
 
 val vmpl_strictly_higher : vmpl -> vmpl -> bool
 (** [vmpl_strictly_higher a b] is true when [a] is strictly more
@@ -54,4 +53,3 @@ val pp_cpl : Format.formatter -> cpl -> unit
 val pp_npf : Format.formatter -> npf_info -> unit
 
 val equal_vmpl : vmpl -> vmpl -> bool
-val equal_cpl : cpl -> cpl -> bool

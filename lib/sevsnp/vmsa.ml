@@ -23,14 +23,6 @@ let create ~vcpu_id ~vmpl ~backing_gpfn =
     ghcb_gpa = 0;
   }
 
-let copy_state ~src ~dst =
-  dst.cpl <- src.cpl;
-  dst.rip <- src.rip;
-  dst.rsp <- src.rsp;
-  dst.cr3 <- src.cr3;
-  Array.blit src.gprs 0 dst.gprs 0 16;
-  dst.ghcb_gpa <- src.ghcb_gpa
-
 let pp fmt t =
   Format.fprintf fmt "VMSA{vcpu=%d %a %a rip=0x%x cr3=%d gpfn=%d}" t.vcpu_id Types.pp_vmpl t.vmpl
     Types.pp_cpl t.cpl t.rip t.cr3 t.backing_gpfn

@@ -20,7 +20,4 @@ type t = {
 
 val create : vcpu_id:int -> vmpl:Types.vmpl -> backing_gpfn:Types.gpfn -> t
 
-val copy_state : src:t -> dst:t -> unit
-(** Copy the mutable register state (not identity fields). *)
-
 val pp : Format.formatter -> t -> unit

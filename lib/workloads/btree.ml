@@ -21,8 +21,6 @@ type t = {
   mutable tick : int;
   mutable root : int;
   mutable npages : int;
-  mutable hits : int;
-  mutable misses : int;
   mutable entries : int;
 }
 
@@ -72,12 +70,10 @@ let get_page t page =
   t.tick <- t.tick + 1;
   match Hashtbl.find_opt t.cache page with
   | Some c ->
-      t.hits <- t.hits + 1;
       t.env.Env.compute 120 (* cache lookup + pin *);
       c.last_use <- t.tick;
       c.data
   | None ->
-      t.misses <- t.misses + 1;
       evict_one t;
       let data = read_page_raw t page in
       Hashtbl.replace t.cache page { data; dirty = false; last_use = t.tick };
@@ -145,8 +141,6 @@ let create env ~path =
       tick = 0;
       root = 1;
       npages = 2;
-      hits = 0;
-      misses = 0;
       entries = 0;
     }
   in
@@ -361,7 +355,3 @@ let height t =
     if node_kind data = 1 then acc else go (int_child data 0) (acc + 1)
   in
   go t.root 1
-
-let pages_allocated t = t.npages
-let cache_hits t = t.hits
-let cache_misses t = t.misses

@@ -31,6 +31,3 @@ val flush : t -> unit
 val close : t -> unit
 
 val height : t -> int
-val pages_allocated : t -> int
-val cache_hits : t -> int
-val cache_misses : t -> int

@@ -43,8 +43,6 @@ let pread t fd ~len ~pos = buf_ret "pread" (t.sys S.Pread64 [ K.Int fd; K.Int le
 
 let pwrite t fd data ~pos = int_ret "pwrite" (t.sys S.Pwrite64 [ K.Int fd; K.Buf data; K.Int pos ])
 
-let lseek_end t fd = int_ret "lseek" (t.sys S.Lseek [ K.Int fd; K.Int 0; K.Int 2 ])
-
 let fsync t fd = unit_ret "fsync" (t.sys S.Fsync [ K.Int fd ])
 
 let unlink t path = unit_ret ("unlink " ^ path) (t.sys S.Unlink [ K.Str path ])

@@ -28,7 +28,6 @@ val read : t -> int -> int -> bytes
 val write : t -> int -> bytes -> int
 val pread : t -> int -> len:int -> pos:int -> bytes
 val pwrite : t -> int -> bytes -> pos:int -> int
-val lseek_end : t -> int -> int
 val fsync : t -> int -> unit
 val unlink : t -> string -> unit
 val rename : t -> string -> string -> unit

@@ -48,7 +48,6 @@ val slo_good_below : int
     audited appends through VeilMon land above this, so audit-heavy
     workloads burn visible error budget. *)
 
-val slo_target : float
 val slo_window : int
 
 val measure :

@@ -8,6 +8,7 @@ module P = Sevsnp.Platform
 module Hv = Hypervisor.Hv
 module B = Veil_core.Boot
 module CD = Chaos_driver
+module A = Veil_attacks.Attacks
 
 let mval sys name =
   Obs.Metrics.value (Obs.Metrics.counter sys.B.platform.P.metrics name)
@@ -251,6 +252,23 @@ let test_attacks_stay_blocked_under_chaos () =
     (fun (name, o) -> Alcotest.fail (Printf.sprintf "BREACHED under chaos: %s (%s)" name o))
     breached
 
+(* [Attacks.run ~chaos] must arm the plan on every guest an attack
+   boots.  A plan with no site armed fires nothing but counts every
+   world exit, so its step count shows which guests it watched; the
+   chaos report does not carry the attack plan's draws, so nothing else
+   would notice a guest booted without it. *)
+let test_attacks_arm_every_guest () =
+  let steps_over attacks =
+    let plan = FP.create ~seed:13 () in
+    List.iter
+      (fun a -> try ignore (A.run ~chaos:plan a) with T.Cvm_halted _ | T.Npf _ -> ())
+      attacks;
+    FP.steps plan
+  in
+  Alcotest.(check int) "world exits over every attack" 722 (steps_over (A.all ()));
+  Alcotest.(check int) "boot-malicious-image arms both of its guests" 12
+    (steps_over (List.filter (fun a -> A.name a = "boot-malicious-image") (A.all ())))
+
 let suite =
   [
     ("fault plan is seed-deterministic", `Quick, test_plan_deterministic);
@@ -271,4 +289,5 @@ let suite =
     ("driver trials hold both invariants", `Slow, test_driver_trials_hold_invariants);
     ("driver replay is journal-identical", `Quick, test_driver_replay_identical);
     ("attacks stay blocked under chaos", `Slow, test_attacks_stay_blocked_under_chaos);
+    ("attacks arm the plan on every guest", `Slow, test_attacks_arm_every_guest);
   ]

@@ -97,10 +97,9 @@ let check_image what expected got =
 
 (* A fork must be the state a fresh boot gives: the image equals an
    independent boot's, and a fork re-marshals to the same image.  Boot
-   reading module-level state that the image does not carry (say
-   [Ltp.next_port] or [Libc.console_fd]), leaving uninitialized bytes
-   in the graph, or a fork keeping its chunks' shared flags, breaks
-   one or the other. *)
+   reading module-level state that the image does not carry, leaving
+   uninitialized bytes in the graph, or a fork keeping its chunks'
+   shared flags, breaks one or the other. *)
 let test_fork_fidelity () =
   List.iter
     (fun sc ->

@@ -329,23 +329,6 @@ let test_fleet_pinned_reports () =
   in
   List.iter (fun (tag, cfg, report, journal) -> check_pins tag cfg ~report ~journal) pins
 
-(* Guests booted without their own plan arm the ambient one, so they
-   share its draws: which guest consumes which draw is part of the
-   pinned bytes. *)
-let test_fleet_pinned_ambient_chaos () =
-  let plan = FP.create ~seed:77 () in
-  FP.set_site plan FP.Relay_dup ~prob:0.02 ();
-  FP.set_site plan FP.Vmgexit_delay ~prob:0.03 ();
-  FP.set_site plan FP.Spurious_exit ~prob:0.02 ();
-  let saved = !Veil_core.Boot.default_chaos in
-  Veil_core.Boot.default_chaos := (fun () -> Some plan);
-  Fun.protect
-    ~finally:(fun () -> Veil_core.Boot.default_chaos := saved)
-    (fun () ->
-      check_pins "ambient plan" { quick_cfg with guests = 3; requests = 60 }
-        ~report:"3ea4dfb6a75f0372" ~journal:"016f238bcc369b30");
-  Alcotest.(check int) "ambient plan draws" 20 (FP.total_hits plan)
-
 let test_fleet_cross_tenant_oracle () =
   match
     List.find_opt
@@ -380,5 +363,4 @@ let suite =
     ("fleet: closed loop coordinately omits queueing", `Quick, test_fleet_coordinated_omission);
     ("fleet: compromised guest cannot move a co-tenant", `Quick, test_fleet_cross_tenant_oracle);
     ("fleet: pinned reports and lb journals", `Quick, test_fleet_pinned_reports);
-    ("fleet: pinned report under an ambient chaos plan", `Quick, test_fleet_pinned_ambient_chaos);
   ]

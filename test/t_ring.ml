@@ -141,25 +141,30 @@ let test_duplicated_batch_replayed_from_cache () =
 
 (* Same duplication, driven by the chaos hv.relay dup site: with
    Relay_dup armed the deterministic ringed run must still replay to
-   the identical journal (suppression keeps the schedule stable). *)
+   the identical journal (suppression keeps the schedule stable).
+   This syscall run takes no interrupt relay, so the site never fires;
+   the plan's step count only shows that it is armed on the guest. *)
 let test_ringed_run_deterministic_under_relay_dup () =
   let measure () =
     let plan = FP.create ~seed:11 () in
     FP.set_site plan FP.Relay_dup ~prob:0.5 ();
-    B.default_chaos := (fun () -> Some plan);
-    Fun.protect
-      ~finally:(fun () -> B.default_chaos := (fun () -> None))
-      (fun () ->
-        let r, _ =
-          Workloads.Escale.measure ~rings:true ~nvcpus:2 ~seed:5
-            ~spawn_work:(Workloads.Escale.syscall_work ~ops_total:128) ()
-        in
-        (r.Workloads.Escale.es_journal, r.Workloads.Escale.es_ops))
+    let sys = B.boot_veil ~npages:4096 ~seed:5 ~chaos:plan () in
+    let smp =
+      Veil_core.Smp.bring_up
+        ~policy:(Hypervisor.Hv.Interleave.Seeded Workloads.Escale.inter_seed)
+        sys ~nvcpus:2 ()
+    in
+    B.enable_rings sys ();
+    let ops = Workloads.Escale.syscall_work ~ops_total:128 sys smp in
+    Veil_core.Smp.run smp;
+    B.flush_rings sys;
+    (Veil_core.Smp.journal smp, ops, FP.steps plan)
   in
-  let j1, ops1 = measure () in
-  let j2, ops2 = measure () in
+  let j1, ops1, steps1 = measure () in
+  let j2, ops2, steps2 = measure () in
   Alcotest.(check string) "same plan, same ringed schedule" j1 j2;
-  Alcotest.(check int) "same ops" ops1 ops2
+  Alcotest.(check int) "same ops" ops1 ops2;
+  Alcotest.(check bool) "plan armed on the guest" true (steps1 > 0 && steps1 = steps2)
 
 (* --- chaos: ring_slot_corrupt is degraded, never silent --- *)
 

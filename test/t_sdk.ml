@@ -231,6 +231,22 @@ let test_runtime_printf_console () =
   let console = Guest_kernel.Fs.console_output (Guest_kernel.Kernel.fs sys.Veil_core.Boot.kernel) in
   Alcotest.(check string) "console output" "value=42\n" console
 
+(* Pids are numbered per guest kernel, so the console fd is cached per
+   enclave: two guests' enclaves with the same pid each print to their
+   own console. *)
+let test_runtime_printf_per_guest () =
+  let console sys = Guest_kernel.Fs.console_output (Guest_kernel.Kernel.fs sys.Veil_core.Boot.kernel) in
+  let a = boot () in
+  let b = boot () in
+  let rt_a = mk_rt a in
+  let rt_b = mk_rt b in
+  Alcotest.(check int) "same pid in both guests" (Rt.proc rt_a).Guest_kernel.Process.pid
+    (Rt.proc rt_b).Guest_kernel.Process.pid;
+  Rt.run rt_a (fun rt -> Enclave_sdk.Libc.printf rt "hello A\n");
+  Rt.run rt_b (fun rt -> Enclave_sdk.Libc.printf rt "hello B\n");
+  Alcotest.(check string) "guest A's console" "hello A\n" (console a);
+  Alcotest.(check string) "guest B's console" "hello B\n" (console b)
+
 let suite =
   [
     ("spec covers all 96 calls / 85 supported", `Quick, test_spec_coverage);
@@ -249,4 +265,5 @@ let suite =
     ("runtime in-enclave malloc", `Quick, test_runtime_malloc);
     ("runtime sockets via libc", `Quick, test_runtime_sockets_via_libc);
     ("runtime printf to console", `Quick, test_runtime_printf_console);
+    ("runtime printf: each guest its own console", `Quick, test_runtime_printf_per_guest);
   ]
