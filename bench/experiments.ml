@@ -23,91 +23,42 @@ let seconds c = C.seconds_of_cycles c
 
 (* --- machine-readable results (--json) ---
 
-   When enabled, every Driver.run result an experiment produces is
-   recorded and [emit_json] prints one JSON document (after the human
-   tables) with the full per-bucket cycle breakdown of each run. *)
+   Every experiment returns the rows it measured, each tagged with the
+   section of the JSON document it belongs to; [document] assembles
+   them in section order and bench/main.ml prints it after the human
+   tables.  [veil_bench] holds each Driver.run with its full per-bucket
+   cycle breakdown, [veil_micro] the Bechamel estimates, [veil_escale]
+   one row per (bench, vcpu count) and [veil_efleet] whole fleet
+   reports. *)
 
-let json_mode = ref false
+type row = string * Obs.Json.t
 
-(* Guest RNG seed for every Driver.run; overridable with --seed so a
-   failing table can be reproduced (and chaos runs can diversify the
-   guest side).  97 is the driver's historical default. *)
-let seed = ref 97
+module J = Obs.Json
 
-(* Veil-Ring opt-in (--rings): escale runs with batched submission
-   rings; everything else is untouched so E2's single-call legs stay
-   byte-identical. *)
-let rings = ref false
+let sections = [ "veil_bench"; "veil_micro"; "veil_escale"; "veil_efleet" ]
 
-(* Veil-Pulse opt-in (--pulse): escale runs with the epoch sampler
-   armed (fixed interval below) and per-interval series in the JSON;
-   pulse-off runs touch no sampler state, so their schedules stay
-   byte-identical. *)
-let pulse = ref false
+let document ~seed (rows : row list) =
+  let section k = J.List (List.filter_map (fun (k', r) -> if k' = k then Some r else None) rows) in
+  J.Obj (("seed", J.Int seed) :: List.map (fun k -> (k, section k)) sections)
+
+let bench_row experiment (s : D.stats) : row =
+  ( "veil_bench",
+    J.Obj
+      [
+        ("experiment", J.Str experiment); ("workload", J.Str s.D.workload);
+        ("mode", J.Str (D.mode_to_string s.D.mode)); ("cycles", J.Int s.D.cycles);
+        ("seconds", J.fixed 6 s.D.seconds); ("compute_cycles", J.Int s.D.compute_cycles);
+        ("kernel_cycles", J.Int s.D.kernel_cycles); ("switch_cycles", J.Int s.D.switch_cycles);
+        ("copy_cycles", J.Int s.D.copy_cycles); ("monitor_cycles", J.Int s.D.monitor_cycles);
+        ("crypto_cycles", J.Int s.D.crypto_cycles); ("io_cycles", J.Int s.D.io_cycles);
+        ("syscalls", J.Int s.D.syscalls); ("vm_exits", J.Int s.D.vm_exits);
+        ("domain_switches", J.Int s.D.domain_switches);
+        ("audit_records", J.Int s.D.audit_records); ("log_appends", J.Int s.D.log_appends);
+      ] )
+
+(* Veil-Pulse opt-in (--pulse): escale and efleet run with the epoch
+   sampler armed at this fixed interval. *)
 let pulse_interval = 400_000
-
-let recorded : (string * D.stats) list ref = ref []
-
-let record ~experiment (s : D.stats) =
-  if !json_mode then recorded := (experiment, s) :: !recorded;
-  s
-
-let stats_json (experiment, (s : D.stats)) =
-  Printf.sprintf
-    "{\"experiment\":\"%s\",\"workload\":\"%s\",\"mode\":\"%s\",\"cycles\":%d,\"seconds\":%.6f,\
-     \"compute_cycles\":%d,\"kernel_cycles\":%d,\"switch_cycles\":%d,\"copy_cycles\":%d,\
-     \"monitor_cycles\":%d,\"crypto_cycles\":%d,\"io_cycles\":%d,\"syscalls\":%d,\"vm_exits\":%d,\
-     \"domain_switches\":%d,\"audit_records\":%d,\"log_appends\":%d}"
-    (Obs.Metrics.json_escape experiment)
-    (Obs.Metrics.json_escape s.D.workload)
-    (D.mode_to_string s.D.mode) s.D.cycles s.D.seconds s.D.compute_cycles s.D.kernel_cycles
-    s.D.switch_cycles s.D.copy_cycles s.D.monitor_cycles s.D.crypto_cycles s.D.io_cycles
-    s.D.syscalls s.D.vm_exits s.D.domain_switches s.D.audit_records s.D.log_appends
-
-(* Micro-benchmark results (bench/micro.ml) ride along in the same
-   JSON document as ns-per-run estimates. *)
-let micro_recorded : (string * float) list ref = ref []
-
-let record_micro ~name ~ns_per_run =
-  if !json_mode then micro_recorded := (name, ns_per_run) :: !micro_recorded
-
-let micro_json (name, ns) =
-  Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%.1f}" (Obs.Metrics.json_escape name) ns
-
-(* E-scale results ride along too: one record per (bench, vcpu count). *)
-let escale_recorded : (string * int * int * float * float * bool * string) list ref = ref []
-
-(* The per-interval pulse timeseries JSON is built by
-   [Workloads.Escale.pulse_json] ("" / omitted key when the run was
-   pulse-less, so pulse-off JSON stays byte-compatible with earlier
-   PRs). *)
-let record_escale ~bench ~nvcpus ~ops ~ops_per_s ~serialized_pct ~pulse_series =
-  if !json_mode then
-    escale_recorded :=
-      (bench, nvcpus, ops, ops_per_s, serialized_pct, !rings, pulse_series) :: !escale_recorded
-
-let escale_json (bench, nvcpus, ops, ops_per_s, serialized_pct, ringed, pulse_series) =
-  Printf.sprintf
-    "{\"bench\":\"%s\",\"vcpus\":%d,\"ops\":%d,\"ops_per_s\":%.1f,\"serialized_pct\":%.1f,\
-     \"rings\":%b%s}"
-    (Obs.Metrics.json_escape bench) nvcpus ops ops_per_s serialized_pct ringed
-    (if pulse_series = "" then "" else ",\"pulse\":" ^ pulse_series)
-
-(* E-fleet runs record their full fleet reports here (see [efleet]
-   below); declared alongside the other accumulators so [emit_json]
-   stays the single JSON emitter. *)
-let efleet_recorded : string list ref = ref []
-
-let emit_json () =
-  if !json_mode then
-    Printf.printf
-      "\n{\"seed\":%d,\"veil_bench\":[%s],\"veil_micro\":[%s],\"veil_escale\":[%s],\
-       \"veil_efleet\":[%s]}\n"
-      !seed
-      (String.concat "," (List.rev_map stats_json !recorded))
-      (String.concat "," (List.rev_map micro_json !micro_recorded))
-      (String.concat "," (List.rev_map escale_json !escale_recorded))
-      (String.concat "," (List.rev !efleet_recorded))
 
 (* --- E1: initialization time (§9.1) --- *)
 
@@ -169,29 +120,30 @@ let e2 () =
 
 (* --- E3: background system impact (§9.1) --- *)
 
-let e3 ?(scale = 1) () =
+let e3 ~seed ?(scale = 1) () =
   header "E3  Background impact under normal execution (§9.1)"
     "SPEC CPU, memcached, NGINX: <2% difference between native CVM and Veil CVM";
   Printf.printf "%-12s %14s %14s %10s\n" "program" "native cycles" "veil cycles" "overhead";
-  List.iter
+  List.concat_map
     (fun w ->
-      let native = record ~experiment:"e3" (D.run ~scale ~seed:!seed D.Native w) in
-      let veil = record ~experiment:"e3" (D.run ~scale ~seed:!seed D.Veil_background w) in
+      let native = D.run ~scale ~seed D.Native w in
+      let veil = D.run ~scale ~seed D.Veil_background w in
       Printf.printf "%-12s %14d %14d %9.2f%%   (paper: <2%%)\n" w.W.Workload.name native.D.cycles
-        veil.D.cycles (D.overhead_pct ~baseline:native veil))
+        veil.D.cycles (D.overhead_pct ~baseline:native veil);
+      [ bench_row "e3" native; bench_row "e3" veil ])
     (W.Registry.background_programs ())
 
 (* --- E4: enclave system call costs (Fig. 4 / Table 3) --- *)
 
-let e4 ?(iterations = 400) () =
+let e4 ~seed ?(iterations = 400) () =
   header "E4  Enclave system call redirection cost (Fig. 4, Table 3)"
     "popular syscalls are 3.3x - 7.1x slower from an enclave";
   Printf.printf "%-8s %12s %12s %9s %14s\n" "syscall" "native cyc" "enclave cyc" "slowdown" "paper-range";
   List.iter
     (fun sb ->
       let w = W.Syscall_bench.workload_of ~iterations sb in
-      let native = D.run ~npages:4096 ~seed:!seed D.Native w in
-      let enc = D.run ~npages:4096 ~seed:!seed D.Enclave w in
+      let native = D.run ~npages:4096 ~seed D.Native w in
+      let enc = D.run ~npages:4096 ~seed D.Enclave w in
       (* subtract enclave creation by measuring per-iteration deltas on
          large iteration counts; creation is amortized *)
       let per_native = native.D.cycles / iterations in
@@ -203,46 +155,50 @@ let e4 ?(iterations = 400) () =
 
 (* --- E5: shielded real-world programs (Fig. 5 / Table 4) --- *)
 
-let e5 ?(scale = 1) () =
+let e5 ~seed ?(scale = 1) () =
   header "E5  Shielding real-world programs with VeilS-ENC (Fig. 5, Table 4)"
     "overheads 4.9% - 63.9%; exit rates 0.08k/35.5k/9.3k/4.8k/22.4k per second";
   let paper = [ ("gzip", 4.9, 0.08); ("unqlite", 30.0, 35.5); ("mbedtls", 10.0, 9.3);
                 ("lighttpd", 42.0, 4.8); ("sqlite", 63.9, 22.4) ] in
   Printf.printf "%-10s %9s %9s | %9s %9s | %8s %8s\n" "program" "ovh meas" "ovh paper" "exit/s ms"
     "exit/s pp" "redirect" "exit";
-  List.iter
-    (fun w ->
-      let native = record ~experiment:"e5" (D.run ~scale ~seed:!seed D.Native w) in
-      let enc = record ~experiment:"e5" (D.run ~scale ~seed:!seed D.Enclave w) in
-      let st = Option.get enc.D.enclave in
-      let exits =
-        st.Enclave_sdk.Runtime.enclave_exits + st.Enclave_sdk.Runtime.interrupts_while_inside
-      in
-      let p_ovh, p_rate =
-        match List.assoc_opt w.W.Workload.name (List.map (fun (n, a, b) -> (n, (a, b))) paper) with
-        | Some (a, b) -> (a, b)
-        | None -> (0.0, 0.0)
-      in
-      let extra = enc.D.cycles - native.D.cycles in
-      let redirect_share =
-        if extra <= 0 then 0.0
-        else 100.0 *. float_of_int st.Enclave_sdk.Runtime.redirect_cycles /. float_of_int extra
-      in
-      let exit_share =
-        if extra <= 0 then 0.0
-        else 100.0 *. float_of_int st.Enclave_sdk.Runtime.exit_cycles /. float_of_int extra
-      in
-      Printf.printf "%-10s %8.1f%% %8.1f%% | %8.1fk %8.1fk | %7.0f%% %7.0f%%\n" w.W.Workload.name
-        (D.overhead_pct ~baseline:native enc)
-        p_ovh
-        (D.rate_per_second enc exits /. 1000.0)
-        p_rate redirect_share exit_share)
-    (W.Registry.enclave_programs ());
-  print_endline "(redirect/exit: share of the enclave overhead, cf. Fig. 5's stacked bars)"
+  let rows =
+    List.concat_map
+      (fun w ->
+        let native = D.run ~scale ~seed D.Native w in
+        let enc = D.run ~scale ~seed D.Enclave w in
+        let st = Option.get enc.D.enclave in
+        let exits =
+          st.Enclave_sdk.Runtime.enclave_exits + st.Enclave_sdk.Runtime.interrupts_while_inside
+        in
+        let p_ovh, p_rate =
+          match List.assoc_opt w.W.Workload.name (List.map (fun (n, a, b) -> (n, (a, b))) paper) with
+          | Some (a, b) -> (a, b)
+          | None -> (0.0, 0.0)
+        in
+        let extra = enc.D.cycles - native.D.cycles in
+        let redirect_share =
+          if extra <= 0 then 0.0
+          else 100.0 *. float_of_int st.Enclave_sdk.Runtime.redirect_cycles /. float_of_int extra
+        in
+        let exit_share =
+          if extra <= 0 then 0.0
+          else 100.0 *. float_of_int st.Enclave_sdk.Runtime.exit_cycles /. float_of_int extra
+        in
+        Printf.printf "%-10s %8.1f%% %8.1f%% | %8.1fk %8.1fk | %7.0f%% %7.0f%%\n" w.W.Workload.name
+          (D.overhead_pct ~baseline:native enc)
+          p_ovh
+          (D.rate_per_second enc exits /. 1000.0)
+          p_rate redirect_share exit_share;
+        [ bench_row "e5" native; bench_row "e5" enc ])
+      (W.Registry.enclave_programs ())
+  in
+  print_endline "(redirect/exit: share of the enclave overhead, cf. Fig. 5's stacked bars)";
+  rows
 
 (* --- E6: protected system auditing (Fig. 6 / Table 5) --- *)
 
-let e6 ?(scale = 1) () =
+let e6 ~seed ?(scale = 1) () =
   header "E6  System audit log protection with VeilS-LOG (Fig. 6, Table 5)"
     "Kaudit 0.3%-8.7% vs VeilS-LOG 1.4%-18.7%; log rates 1.5k/1.8k/61k/2.3k/38k per second";
   let paper =
@@ -251,11 +207,11 @@ let e6 ?(scale = 1) () =
   in
   Printf.printf "%-10s | %8s %8s | %8s %8s | %9s %9s\n" "program" "kaudit" "paper" "veils" "paper"
     "logs/s" "paper";
-  List.iter
+  List.concat_map
     (fun w ->
-      let base = record ~experiment:"e6" (D.run ~scale ~seed:!seed D.Veil_background w) in
-      let ka = record ~experiment:"e6" (D.run ~scale ~seed:!seed D.Kaudit w) in
-      let vl = record ~experiment:"e6" (D.run ~scale ~seed:!seed D.Veils_log w) in
+      let base = D.run ~scale ~seed D.Veil_background w in
+      let ka = D.run ~scale ~seed D.Kaudit w in
+      let vl = D.run ~scale ~seed D.Veils_log w in
       let pk, pv, pr = try List.assoc w.W.Workload.name paper with Not_found -> (0., 0., 0.) in
       Printf.printf "%-10s | %7.2f%% %7.2f%% | %7.2f%% %7.2f%% | %8.1fk %8.1fk\n" w.W.Workload.name
         (D.overhead_pct ~baseline:base ka)
@@ -263,7 +219,8 @@ let e6 ?(scale = 1) () =
         (D.overhead_pct ~baseline:base vl)
         pv
         (D.rate_per_second vl vl.D.audit_records /. 1000.0)
-        pr)
+        pr;
+      [ bench_row "e6" base; bench_row "e6" ka; bench_row "e6" vl ])
     (W.Registry.audit_programs ())
 
 (* --- E7: secure module load/unload (CS1, §9.2) --- *)
@@ -355,7 +312,7 @@ let e11 () =
 
 (* --- Ablations (DESIGN.md §5) --- *)
 
-let ablate ?(scale = 1) () =
+let ablate ~seed ?(scale = 1) () =
   header "A   Ablations: monitor design trade-offs (§9.1 analysis, §10 future work)"
     "Cds x Nds trade-off; exitless/batched syscalls as future work";
   (* A1: what the E5 overheads become under different switch costs *)
@@ -363,21 +320,24 @@ let ablate ?(scale = 1) () =
   print_endline "    measured runs; 7135 = Veil, ~3600 = hypervisor-internal monitor, 1100 =";
   print_endline "    plain VMCALL, 150 = Nested-Kernel-style ring switch):";
   Printf.printf "    %-10s %9s %9s %9s %9s\n" "program" "7135cyc" "3600cyc" "1100cyc" "150cyc";
-  List.iter
-    (fun w ->
-      let native = record ~experiment:"ablate" (D.run ~scale ~seed:!seed D.Native w) in
-      let enc = record ~experiment:"ablate" (D.run ~scale ~seed:!seed D.Enclave w) in
-      let st = Option.get enc.D.enclave in
-      let switches = st.Enclave_sdk.Runtime.enclave_exits + st.Enclave_sdk.Runtime.enclave_entries in
-      let recompute per_switch =
-        let extra =
-          enc.D.cycles - native.D.cycles - (switches * 7135) + (switches * per_switch)
+  let rows =
+    List.concat_map
+      (fun w ->
+        let native = D.run ~scale ~seed D.Native w in
+        let enc = D.run ~scale ~seed D.Enclave w in
+        let st = Option.get enc.D.enclave in
+        let switches = st.Enclave_sdk.Runtime.enclave_exits + st.Enclave_sdk.Runtime.enclave_entries in
+        let recompute per_switch =
+          let extra =
+            enc.D.cycles - native.D.cycles - (switches * 7135) + (switches * per_switch)
+          in
+          100.0 *. float_of_int extra /. float_of_int native.D.cycles
         in
-        100.0 *. float_of_int extra /. float_of_int native.D.cycles
-      in
-      Printf.printf "    %-10s %8.1f%% %8.1f%% %8.1f%% %8.1f%%\n" w.W.Workload.name (recompute 7135)
-        (recompute 3600) (recompute 1100) (recompute 150))
-    [ W.Dbs.sqlite (); W.Dbs.unqlite () ];
+        Printf.printf "    %-10s %8.1f%% %8.1f%% %8.1f%% %8.1f%%\n" w.W.Workload.name (recompute 7135)
+          (recompute 3600) (recompute 1100) (recompute 150);
+        [ bench_row "ablate" native; bench_row "ablate" enc ])
+      [ W.Dbs.sqlite (); W.Dbs.unqlite () ]
+  in
   (* A2: syscall batching (§10) — measured with the SDK's real
      ocall_batch implementation *)
   print_endline "";
@@ -487,7 +447,8 @@ let ablate ?(scale = 1) () =
       let stats = Veil_core.Slog.stats sys.Veil_core.Boot.slog in
       Printf.printf "    %2d frame(s) (%5d B): stored %3d, refused %3d of 300 events\n" frames
         (frames * 4096) stats.Veil_core.Slog.appended stats.Veil_core.Slog.dropped_full)
-    [ 1; 2; 4; 16 ]
+    [ 1; 2; 4; 16 ];
+  rows
 
 (* --- E-scale: SMP throughput scaling (Veil-SMP, §5) ---
 
@@ -497,33 +458,39 @@ let ablate ?(scale = 1) () =
 
 module Es = Workloads.Escale
 
-let escale () =
+let escale ~seed ~rings ~pulse () =
   header "E-scale  SMP throughput scaling with Veil-SMP (§5 AP bring-up)"
     "monitor-relayed AP boot; deterministic interleaving; VeilMon serializes log/IDCB work";
   let counts = Es.vcpu_counts () in
   Printf.printf "interleaver: seeded(%d); guest seed %d; VCPU counts: %s; rings: %s; pulse: %s\n"
-    Es.inter_seed !seed
+    Es.inter_seed seed
     (String.concat "," (List.map string_of_int counts))
-    (if !rings then "on (Veil-Ring batched submission)" else "off")
-    (if !pulse then Printf.sprintf "on (interval %d cycles)" pulse_interval else "off");
+    (if rings then "on (Veil-Ring batched submission)" else "off")
+    (if pulse then Printf.sprintf "on (interval %d cycles)" pulse_interval else "off");
+  let pulse_arg = if pulse then Some pulse_interval else None in
   let run_table name ~spawn_work ~ops =
     Printf.printf "\n%s (%d ops total, strong scaling):\n" name ops;
     Printf.printf "  %5s %14s %9s %9s %11s %12s %10s %7s\n" "vcpus" "throughput" "speedup"
       "hw-amdahl" "serialized%" "wall Mcyc" "mon-share" "steals";
     let base = ref None in
     let serial_frac = ref 0.0 in
-    List.iter
+    List.map
       (fun nv ->
-        let pulse_arg = if !pulse then Some pulse_interval else None in
         let (r : Es.result), sys =
-          Es.measure ~rings:!rings ?pulse:pulse_arg ~nvcpus:nv ~seed:!seed ~spawn_work ()
+          Es.measure ~rings ?pulse:pulse_arg ~nvcpus:nv ~seed ~spawn_work ()
         in
         let tp = Es.throughput r in
         let ser = Es.serialized_pct r in
-        record_escale ~bench:name ~nvcpus:nv ~ops:r.Es.es_ops ~ops_per_s:tp
-          ~serialized_pct:ser
-          ~pulse_series:(if !pulse then Workloads.Escale.pulse_json sys else "");
-        if !pulse then begin
+        let row =
+          J.Obj
+            ([
+               ("bench", J.Str name); ("vcpus", J.Int nv); ("ops", J.Int r.Es.es_ops);
+               ("ops_per_s", J.fixed 1 tp); ("serialized_pct", J.fixed 1 ser);
+               ("rings", J.Bool rings);
+             ]
+            @ if pulse then [ ("pulse", Es.pulse_json sys) ] else [])
+        in
+        if pulse then begin
           let pu = sys.Veil_core.Boot.platform.P.pulse in
           Printf.printf "  pulse @%d VCPUs: %d intervals captured (%d retained), %d anchors\n" nv
             (Obs.Pulse.captured pu) (Obs.Pulse.retained pu) (Obs.Pulse.anchors_emitted pu);
@@ -573,30 +540,33 @@ let escale () =
           | None -> ());
           (* reproducibility: the schedule and the numbers must replay *)
           let (r2 : Es.result), _ =
-            Es.measure ~rings:!rings ?pulse:pulse_arg ~nvcpus:nv ~seed:!seed ~spawn_work ()
+            Es.measure ~rings ?pulse:pulse_arg ~nvcpus:nv ~seed ~spawn_work ()
           in
           if r2.Es.es_journal <> r.Es.es_journal || Es.throughput r2 <> tp then
             failwith "E-scale: same seed produced a different schedule or throughput";
           Printf.printf "  replay @%d VCPUs: identical schedule (%d steps) and throughput — OK\n"
             nv (String.length r.Es.es_journal)
-        end)
+        end;
+        ("veil_escale", row))
       counts
   in
-  run_table "syscall-bench" ~spawn_work:(Es.syscall_work ~ops_total:4096) ~ops:4096;
-  run_table "http-server" ~spawn_work:(Es.http_work ~requests:256) ~ops:256
+  let syscall_rows =
+    run_table "syscall-bench" ~spawn_work:(Es.syscall_work ~ops_total:4096) ~ops:4096
+  in
+  let http_rows = run_table "http-server" ~spawn_work:(Es.http_work ~requests:256) ~ops:256 in
+  syscall_rows @ http_rows
 
 (* --- E-fleet: multi-guest host under open-loop traffic (ISSUE 10) --- *)
 
-let record_efleet ~label ~util (r : Fleet.report) =
-  if !json_mode then
-    efleet_recorded :=
-      Printf.sprintf "{\"label\":\"%s\",\"guests\":%d,\"util\":%.2f,\"report\":%s}"
-        (Obs.Metrics.json_escape label)
-        (Array.length r.Fleet.r_guests)
-        util (Fleet.report_json r)
-      :: !efleet_recorded
+let efleet_row ~label ~util (r : Fleet.report) : row =
+  ( "veil_efleet",
+    J.Obj
+      [
+        ("label", J.Str label); ("guests", J.Int (Array.length r.Fleet.r_guests));
+        ("util", J.fixed 2 util); ("report", Fleet.report_json r);
+      ] )
 
-let efleet ?(scale = 1) () =
+let efleet ~seed ~rings ~pulse ?(scale = 1) () =
   header "E-fleet  Multi-guest host: open-loop traffic against isolated Veil guests"
     "fleet-provisioned CVMs; per-tenant isolation and tails must hold under shared-host load";
   let base guests vcpus requests =
@@ -604,15 +574,15 @@ let efleet ?(scale = 1) () =
       Fleet.default with
       guests;
       vcpus;
-      seed = !seed;
+      seed;
       requests = requests * scale;
-      rings = !rings;
-      pulse = (if !pulse then Some pulse_interval else None);
+      rings;
+      pulse = (if pulse then Some pulse_interval else None);
     }
   in
-  Printf.printf "workload: http; seed %d; rings: %s; pulse: %s; requests scale x%d\n" !seed
-    (if !rings then "on" else "off")
-    (if !pulse then "on" else "off")
+  Printf.printf "workload: http; seed %d; rings: %s; pulse: %s; requests scale x%d\n" seed
+    (if rings then "on" else "off")
+    (if pulse then "on" else "off")
     scale;
   (* per-cell calibration (closed-loop probe fleet), then an open-loop
      drive at 60% of measured capacity *)
@@ -621,33 +591,33 @@ let efleet ?(scale = 1) () =
     "\nopen loop at 60%% of calibrated capacity (merged-histogram sojourn, cycles):\n";
   Printf.printf "  %6s %6s %10s %10s %10s %10s %10s %8s\n" "guests" "vcpus" "offered" "achieved"
     "p50" "p99" "p999" "queue%";
-  List.iter
-    (fun (g, v) ->
-      let cfg = base g v (g * v * 24) in
-      let svc = Fleet.calibrate cfg in
-      let rate = Fleet.rate_for cfg ~utilization:0.6 ~mean_service_cycles:svc in
-      let r = Fleet.run { cfg with process = Fleet.Arrival.Poisson { rate } } in
-      record_efleet ~label:"open-0.6" ~util:0.6 r;
-      let queued, busy =
-        Array.fold_left
-          (fun (q, b) gr ->
-            ( q + gr.Fleet.gr_wait.Veil_core.Monitor.ws_queued_cycles,
-              b + gr.Fleet.gr_wait.Veil_core.Monitor.ws_busy_cycles ))
-          (0, 0) r.Fleet.r_guests
-      in
-      Printf.printf "  %6d %6d %10.0f %10.0f %10d %10d %10d %7.1f%%\n" g v r.Fleet.r_offered
-        r.Fleet.r_throughput r.Fleet.r_p50 r.Fleet.r_p99 r.Fleet.r_p999
-        (if busy = 0 then 0.0 else 100.0 *. float_of_int queued /. float_of_int busy))
-    grid;
+  let grid_rows =
+    List.map
+      (fun (g, v) ->
+        let cfg = base g v (g * v * 24) in
+        let svc = Fleet.calibrate cfg in
+        let rate = Fleet.rate_for cfg ~utilization:0.6 ~mean_service_cycles:svc in
+        let r = Fleet.run { cfg with process = Fleet.Arrival.Poisson { rate } } in
+        let queued, busy =
+          Array.fold_left
+            (fun (q, b) gr ->
+              ( q + gr.Fleet.gr_wait.Veil_core.Monitor.ws_queued_cycles,
+                b + gr.Fleet.gr_wait.Veil_core.Monitor.ws_busy_cycles ))
+            (0, 0) r.Fleet.r_guests
+        in
+        Printf.printf "  %6d %6d %10.0f %10.0f %10d %10d %10d %7.1f%%\n" g v r.Fleet.r_offered
+          r.Fleet.r_throughput r.Fleet.r_p50 r.Fleet.r_p99 r.Fleet.r_p999
+          (if busy = 0 then 0.0 else 100.0 *. float_of_int queued /. float_of_int busy);
+        efleet_row ~label:"open-0.6" ~util:0.6 r)
+      grid
+  in
   (* coordinated omission: the same overloaded box measured both ways *)
   let co_cfg = base 4 4 384 in
   let closed = Fleet.run { co_cfg with mode = Fleet.Closed_loop } in
-  record_efleet ~label:"closed" ~util:0.0 closed;
   let over_rate = Fleet.rate_for co_cfg ~utilization:1.5 ~mean_service_cycles:closed.Fleet.r_mean in
   let open_over =
     Fleet.run { co_cfg with process = Fleet.Arrival.Poisson { rate = over_rate } }
   in
-  record_efleet ~label:"open-1.5" ~util:1.5 open_over;
   Printf.printf "\ncoordinated omission (4 guests x 4 VCPUs, 1.5x overload):\n";
   Printf.printf "  closed loop (what a waiting client reports): p99 %10d cycles, %8.0f rps\n"
     closed.Fleet.r_p99 closed.Fleet.r_throughput;
@@ -673,7 +643,6 @@ let efleet ?(scale = 1) () =
             { low = rate06 /. 2.0; high = rate06 *. 2.25; dwell_low = 0.002; dwell_high = 0.0008 };
       }
   in
-  record_efleet ~label:"mmpp-0.6" ~util:0.6 mmpp;
   Printf.printf "\nburstiness at the same mean offered load (%.0f rps):\n" rate06;
   Printf.printf "  poisson: p99 %10d  p999 %10d\n" poisson.Fleet.r_p99 poisson.Fleet.r_p999;
   Printf.printf "  mmpp   : p99 %10d  p999 %10d  (bursts queue; the mean hides them)\n"
@@ -699,4 +668,10 @@ let efleet ?(scale = 1) () =
         (Veil_attacks.Attacks.outcome_to_string o);
       if not (Veil_attacks.Attacks.is_blocked o) then
         failwith ("E-fleet: attack not contained: " ^ Veil_attacks.Attacks.name atk))
-    oracle
+    oracle;
+  grid_rows
+  @ [
+      efleet_row ~label:"closed" ~util:0.0 closed;
+      efleet_row ~label:"open-1.5" ~util:1.5 open_over;
+      efleet_row ~label:"mmpp-0.6" ~util:0.6 mmpp;
+    ]

@@ -17,66 +17,67 @@ let usage () =
 let scale =
   match Sys.getenv_opt "VEIL_BENCH_SCALE" with Some s -> int_of_string s | None -> 1
 
-let args =
-  let rec strip = function
-    | "--seed" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some s -> Experiments.seed := s
+(* Command-line options.  [seed] is the guest RNG seed of every
+   Driver.run (97 is the driver's historical default); [rings] and
+   [pulse] opt escale and efleet into Veil-Ring submission rings and
+   the Veil-Pulse sampler, leaving every other experiment — and E2's
+   single-call legs — byte-identical. *)
+type opts = { seed : int; json : bool; rings : bool; pulse : bool }
+
+let opts, args =
+  let rec strip o = function
+    | "--seed" :: v :: rest -> (
+        match int_of_string_opt v with
+        | Some seed -> strip { o with seed } rest
         | None ->
             prerr_endline ("bench: --seed expects an integer, got " ^ v);
-            exit 2);
-        strip rest
+            exit 2)
     | "--seed" :: [] ->
         prerr_endline "bench: --seed expects an integer";
         exit 2
-    | "--json" :: rest -> strip rest
-    | "--rings" :: rest ->
-        Experiments.rings := true;
-        strip rest
-    | "--pulse" :: rest ->
-        Experiments.pulse := true;
-        strip rest
-    | a :: rest -> a :: strip rest
-    | [] -> []
+    | "--json" :: rest -> strip { o with json = true } rest
+    | "--rings" :: rest -> strip { o with rings = true } rest
+    | "--pulse" :: rest -> strip { o with pulse = true } rest
+    | a :: rest ->
+        let o, args = strip o rest in
+        (o, a :: args)
+    | [] -> (o, [])
   in
-  strip (List.tl (Array.to_list Sys.argv))
+  strip { seed = 97; json = false; rings = false; pulse = false } (List.tl (Array.to_list Sys.argv))
 
-let () = Experiments.json_mode := Array.exists (( = ) "--json") Sys.argv
+module E = Experiments
 
-let all () =
-  Experiments.e1 ();
-  Experiments.e2 ();
-  Experiments.e3 ~scale ();
-  Experiments.e4 ();
-  Experiments.e5 ~scale ();
-  Experiments.e6 ~scale ();
-  Experiments.e7 ();
-  Experiments.e8 ();
-  Experiments.e9 ();
-  Experiments.e10 ();
-  Experiments.e11 ();
-  Experiments.escale ();
-  Experiments.efleet ~scale ();
-  Experiments.ablate ~scale ();
-  Micro.run ()
+let seed = opts.seed
+let no_rows f () = f (); []
+
+let experiments =
+  [
+    ("e1", no_rows E.e1);
+    ("e2", no_rows E.e2);
+    ("e3", E.e3 ~seed ~scale);
+    ("e4", no_rows (E.e4 ~seed));
+    ("e5", E.e5 ~seed ~scale);
+    ("e6", E.e6 ~seed ~scale);
+    ("e7", no_rows E.e7);
+    ("e8", no_rows E.e8);
+    ("e9", no_rows E.e9);
+    ("e10", no_rows E.e10);
+    ("e11", no_rows E.e11);
+    ("escale", E.escale ~seed ~rings:opts.rings ~pulse:opts.pulse);
+    ("efleet", E.efleet ~seed ~rings:opts.rings ~pulse:opts.pulse ~scale);
+    ("ablate", E.ablate ~seed ~scale);
+    ("micro", Micro.run);
+  ]
 
 let () =
-  (match match args with a :: _ -> a | [] -> "all" with
-  | "e1" -> Experiments.e1 ()
-  | "e2" -> Experiments.e2 ()
-  | "e3" -> Experiments.e3 ~scale ()
-  | "e4" -> Experiments.e4 ()
-  | "e5" -> Experiments.e5 ~scale ()
-  | "e6" -> Experiments.e6 ~scale ()
-  | "e7" -> Experiments.e7 ()
-  | "e8" -> Experiments.e8 ()
-  | "e9" -> Experiments.e9 ()
-  | "e10" -> Experiments.e10 ()
-  | "e11" -> Experiments.e11 ()
-  | "escale" -> Experiments.escale ()
-  | "efleet" -> Experiments.efleet ~scale ()
-  | "ablate" -> Experiments.ablate ~scale ()
-  | "micro" -> Micro.run ()
-  | "all" -> all ()
-  | _ -> usage ());
-  Experiments.emit_json ()
+  let rows =
+    match match args with a :: _ -> a | [] -> "all" with
+    | "all" -> List.concat_map (fun (_, run) -> run ()) experiments
+    | name -> (
+        match List.assoc_opt name experiments with
+        | Some run -> run ()
+        | None ->
+            usage ();
+            [])
+  in
+  if opts.json then print_string ("\n" ^ Obs.Json.to_string (E.document ~seed rows) ^ "\n")

@@ -378,12 +378,19 @@ let run () =
   ignore (Lazy.force fork_image);
   let raw = Benchmark.all cfg instances all_tests in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] ->
-          Printf.printf "  %-34s %12.0f ns/run\n" name est;
-          Experiments.record_micro ~name ~ns_per_run:est
-      | _ -> Printf.printf "  %-34s (no estimate)\n" name)
-    results;
-  alloc_check ()
+  let rows =
+    Hashtbl.fold
+      (fun name result rows ->
+        match Analyze.OLS.estimates result with
+        | Some [ est ] ->
+            Printf.printf "  %-34s %12.0f ns/run\n" name est;
+            ( "veil_micro",
+              Obs.Json.Obj [ ("name", Obs.Json.Str name); ("ns_per_run", Obs.Json.fixed 1 est) ] )
+            :: rows
+        | _ ->
+            Printf.printf "  %-34s (no estimate)\n" name;
+            rows)
+      results []
+  in
+  alloc_check ();
+  List.rev rows

@@ -423,7 +423,8 @@ let metrics_cmd =
     quickstart_scenario sys;
     Sevsnp.Platform.refresh_obs_gauges platform;
     let m = platform.Sevsnp.Platform.metrics in
-    if json then print_string (Obs.Metrics.to_json m) else print_string (Obs.Metrics.dump m)
+    if json then print_string (Obs.Json.to_string (Obs.Metrics.to_json m))
+    else print_string (Obs.Metrics.dump m)
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -930,7 +931,7 @@ let chaos_cmd =
       | Some s -> parse_csv ~what:"workload" ~of_name:Chaos_driver.workload_of_name s
     in
     let r = Chaos_driver.run ?sites ~trials ~workloads ~vcpus ~seed () in
-    if json then print_endline (Chaos_driver.report_json r)
+    if json then print_endline (Obs.Json.to_string (Chaos_driver.report_json r))
     else begin
       Printf.printf "veil-chaos: seed %d, %d trial(s) x %d workload(s) + %d attacks\n" seed
         trials (List.length workloads) r.Chaos_driver.rp_attacks_run;
@@ -1034,17 +1035,22 @@ let pulse_cmd =
     let verify = Obs.Pulse.verify_export pu exported in
     let anchors = List.length (Veil_core.Boot.pulse_anchor_lines sys) in
     if json then begin
+      let module J = Obs.Json in
+      let verify =
+        match verify with
+        | Ok n -> J.Obj [ ("ok", J.Bool true); ("intervals", J.Int n) ]
+        | Error (i, reason) ->
+            J.Obj [ ("ok", J.Bool false); ("interval", J.Int i); ("reason", J.Str reason) ]
+      in
       let doc =
-        Printf.sprintf
-          "{\"workload\":\"%s\",\"vcpus\":%d,\"ops\":%d,\"seed\":%d,\"verify\":%s,\
-           \"anchors\":%d,\"pulse\":%s}\n"
-          name nvcpus r.Es.es_ops seed
-          (match verify with
-          | Ok n -> Printf.sprintf "{\"ok\":true,\"intervals\":%d}" n
-          | Error (i, reason) ->
-              Printf.sprintf "{\"ok\":false,\"interval\":%d,\"reason\":\"%s\"}" i
-                (Obs.Metrics.json_escape reason))
-          anchors (Es.pulse_json sys)
+        J.to_string
+          (J.Obj
+             [
+               ("workload", J.Str name); ("vcpus", J.Int nvcpus); ("ops", J.Int r.Es.es_ops);
+               ("seed", J.Int seed); ("verify", verify); ("anchors", J.Int anchors);
+               ("pulse", Es.pulse_json sys);
+             ])
+        ^ "\n"
       in
       if out = "-" then print_string doc
       else begin
@@ -1128,98 +1134,6 @@ let pulse_cmd =
 
 (* --- bench: trajectory regression gate against a recorded baseline --- *)
 
-(* Targeted extraction from the bench JSON document (no JSON library
-   in the dependency set): bracket-depth scan for the "veil_escale"
-   array, then per-entry field grabs. *)
-let json_escale_entries doc =
-  let key = "\"veil_escale\"" in
-  let skip_ws i =
-    let j = ref i in
-    while !j < String.length doc && (doc.[!j] = ' ' || doc.[!j] = '\n' || doc.[!j] = '\t') do
-      incr j
-    done;
-    !j
-  in
-  let rec find i =
-    if i + String.length key > String.length doc then None
-    else if String.sub doc i (String.length key) = key then begin
-      let j = skip_ws (i + String.length key) in
-      if j < String.length doc && doc.[j] = ':' then
-        let k = skip_ws (j + 1) in
-        if k < String.length doc && doc.[k] = '[' then Some (k + 1) else find (i + 1)
-      else find (i + 1)
-    end
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> []
-  | Some start ->
-      let entries = ref [] and depth = ref 0 and entry_start = ref (-1) in
-      let in_str = ref false and esc = ref false in
-      let i = ref start and stop = ref false in
-      while (not !stop) && !i < String.length doc do
-        let c = doc.[!i] in
-        if !esc then esc := false
-        else if !in_str then begin
-          if c = '\\' then esc := true else if c = '"' then in_str := false
-        end
-        else begin
-          match c with
-          | '"' -> in_str := true
-          | '{' ->
-              if !depth = 0 then entry_start := !i;
-              incr depth
-          | '}' ->
-              decr depth;
-              if !depth = 0 then
-                entries := String.sub doc !entry_start (!i - !entry_start + 1) :: !entries
-          | ']' when !depth = 0 -> stop := true
-          | _ -> ()
-        end;
-        incr i
-      done;
-      List.rev !entries
-
-let json_field entry key =
-  let pat = "\"" ^ key ^ "\"" in
-  let skip_ws i =
-    let j = ref i in
-    while !j < String.length entry && (entry.[!j] = ' ' || entry.[!j] = '\n' || entry.[!j] = '\t') do
-      incr j
-    done;
-    !j
-  in
-  let rec find i =
-    if i + String.length pat > String.length entry then None
-    else if String.sub entry i (String.length pat) = pat then begin
-      let j = skip_ws (i + String.length pat) in
-      if j < String.length entry && entry.[j] = ':' then Some (skip_ws (j + 1)) else find (i + 1)
-    end
-    else find (i + 1)
-  in
-  Option.map
-    (fun start ->
-      let stop = ref start in
-      let depth = ref 0 and in_str = ref false and esc = ref false and fin = ref false in
-      while (not !fin) && !stop < String.length entry do
-        let c = entry.[!stop] in
-        if !esc then esc := false
-        else if !in_str then begin
-          if c = '\\' then esc := true else if c = '"' then in_str := false
-        end
-        else begin
-          match c with
-          | '"' -> in_str := true
-          | '{' | '[' -> incr depth
-          | '}' | ']' -> if !depth = 0 then fin := true else decr depth
-          | ',' when !depth = 0 -> fin := true
-          | _ -> ()
-        end;
-        if not !fin then incr stop
-      done;
-      String.trim (String.sub entry start (!stop - start)))
-    (find 0)
-
 let bench_cmd =
   let baseline_arg =
     let doc = "Baseline bench JSON (a committed BENCH_prN.json) to gate against." in
@@ -1250,7 +1164,14 @@ let bench_cmd =
         (fun s -> List.filter_map int_of_string_opt (String.split_on_char ',' s))
         vcpus_filter
     in
-    let entries = json_escale_entries doc in
+    let module J = Obs.Json in
+    let entries =
+      match J.parse doc with
+      | Ok v -> (match J.member "veil_escale" v with Some (J.List l) -> l | _ -> [])
+      | Error e ->
+          Printf.eprintf "bench: %s is not valid JSON: %s\n" baseline e;
+          exit 1
+    in
     if entries = [] then begin
       Printf.eprintf "bench: no \"veil_escale\" entries in %s\n" baseline;
       exit 1
@@ -1258,24 +1179,38 @@ let bench_cmd =
     let module Es = Workloads.Escale in
     Printf.printf "veilctl bench — trajectory gate against %s (tolerance %.0f%%)\n" baseline
       (100.0 *. tol);
-    Printf.printf "  %-14s %3s %5s %12s %12s %8s %8s  %s\n" "bench" "nv" "rings" "base ops/s"
-      "now ops/s" "base ser" "now ser" "verdict";
+    Printf.printf "  %-14s %3s %5s %7s %12s %12s %8s %8s  %s\n" "bench" "nv" "rings" "pulse"
+      "base ops/s" "now ops/s" "base ser" "now ser" "verdict";
     let regressions = ref 0 in
     List.iter
       (fun entry ->
-        let need key =
-          match json_field entry key with
-          | Some v -> v
-          | None ->
-              Printf.eprintf "bench: entry in %s lacks %S: %s\n" baseline key entry;
-              exit 1
+        let bad what =
+          Printf.eprintf "bench: entry in %s has no %s: %s\n" baseline what (J.to_string entry);
+          exit 1
         in
-        let bench = Scanf.sscanf (need "bench") "%S" (fun s -> s) in
-        let nv = int_of_string (need "vcpus") in
-        let ops = int_of_string (need "ops") in
-        let base_tp = float_of_string (need "ops_per_s") in
-        let base_ser = float_of_string (need "serialized_pct") in
-        let rings = need "rings" = "true" in
+        let field key = J.member key entry in
+        let int key = match field key with Some (J.Int n) -> n | _ -> bad ("integer " ^ key) in
+        let num key =
+          match field key with
+          | Some (J.Int n) -> float_of_int n
+          | Some (J.Num s) -> float_of_string s
+          | _ -> bad ("number " ^ key)
+        in
+        let bench = match field "bench" with Some (J.Str b) -> b | _ -> bad "string bench" in
+        let nv = int "vcpus" and ops = int "ops" in
+        let base_tp = num "ops_per_s" and base_ser = num "serialized_pct" in
+        (* Rows recorded before Veil-Ring carry no "rings" key and ran
+           without rings; a row with a "pulse" series was recorded with
+           the sampler armed at that interval, which costs cycles. *)
+        let rings =
+          match field "rings" with None -> false | Some (J.Bool b) -> b | _ -> bad "boolean rings"
+        in
+        let pulse =
+          match field "pulse" with
+          | None -> None
+          | Some p -> (
+              match J.member "interval" p with Some (J.Int n) -> Some n | _ -> bad "pulse interval")
+        in
         if (match wanted with Some l -> List.mem nv l | None -> true) then begin
           let spawn_work =
             match bench with
@@ -1285,7 +1220,7 @@ let bench_cmd =
                 Printf.eprintf "bench: unknown baseline bench %S\n" other;
                 exit 1
           in
-          let (r : Es.result), _ = Es.measure ~rings ~nvcpus:nv ~seed ~spawn_work () in
+          let (r : Es.result), _ = Es.measure ~rings ?pulse ~nvcpus:nv ~seed ~spawn_work () in
           let tp = Es.throughput r in
           let ser = Es.serialized_pct r in
           (* Throughput gates one-sided (faster is fine); the
@@ -1294,8 +1229,9 @@ let bench_cmd =
           let tp_ok = tp >= base_tp *. (1.0 -. tol) in
           let ser_ok = ser <= (base_ser *. (1.0 +. tol)) +. 0.5 in
           if not (tp_ok && ser_ok) then incr regressions;
-          Printf.printf "  %-14s %3d %5s %12.1f %12.1f %7.1f%% %7.1f%%  %s\n" bench nv
+          Printf.printf "  %-14s %3d %5s %7s %12.1f %12.1f %7.1f%% %7.1f%%  %s\n" bench nv
             (if rings then "on" else "off")
+            (match pulse with Some n -> string_of_int n | None -> "off")
             base_tp tp base_ser ser
             (if tp_ok && ser_ok then "ok"
              else if tp_ok then "REGRESSION (serialized share)"
@@ -1408,7 +1344,7 @@ let explore_cmd =
         let violations =
           List.filter_map (fun r -> Option.map (fun cx -> (r, cx)) r.E.rr_violation) reports
         in
-        if json then print_endline (E.report_json reports)
+        if json then print_endline (Obs.Json.to_string (E.report_json reports))
         else begin
           Printf.printf "veil-explore: %d scenario(s), budget %d branches, %d interleaver steps\n"
             (List.length reports) budget max_steps;
@@ -1582,7 +1518,7 @@ let fleet_cmd =
     end;
     let buf = Buffer.create 2048 in
     let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    if json then Buffer.add_string buf (Fleet.report_json r)
+    if json then Buffer.add_string buf (Obs.Json.to_string (Fleet.report_json r))
     else begin
       p "Veil-Fleet — %d guest(s) x %d VCPU(s), %s, %s loop, seed %d\n" guests vcpus
         (Fleet.workload_name workload)

@@ -315,7 +315,6 @@ let atk_enclave_alias =
           ghcb_gpfn = ghcb_frame;
           ghcb_va = 0;
           shared = [];
-          finalized = false;
           measurement = None;
         }
       in
@@ -355,7 +354,6 @@ let atk_enclave_steal_frame =
           ghcb_gpfn = ghcb_frame;
           ghcb_va = 0;
           shared = [];
-          finalized = false;
           measurement = None;
         }
       in

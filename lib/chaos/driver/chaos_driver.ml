@@ -383,30 +383,21 @@ let run ?sites ?(trials = 3) ?(workloads = all_workloads) ?(check_replay = true)
   }
 
 let report_json r =
-  let b = Buffer.create 1024 in
-  let esc = Obs.Metrics.json_escape in
-  Buffer.add_string b (Printf.sprintf "{\"seed\":%d,\"ok\":%b,\"replay_ok\":%b," r.rp_seed r.rp_ok r.rp_replay_ok);
-  Buffer.add_string b (Printf.sprintf "\"attacks_run\":%d,\"breached\":[" r.rp_attacks_run);
-  List.iteri
-    (fun i (n, o) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "{\"attack\":\"%s\",\"outcome\":\"%s\"}" (esc n) (esc o)))
-    r.rp_breached;
-  Buffer.add_string b "],\"site_hits\":{";
-  List.iteri
-    (fun i (n, h) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (esc n) h))
-    r.rp_site_hits;
-  Buffer.add_string b "},\"trials\":[";
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"workload\":\"%s\",\"seed\":%d,\"outcome\":\"%s\",\"steps\":%d,\"hits\":%d}"
-           (workload_name t.tr_workload) t.tr_seed
-           (esc (outcome_to_string t.tr_outcome))
-           t.tr_steps (FP.total_hits t.tr_plan)))
-    r.rp_trials;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let trial t =
+    J.Obj
+      [
+        ("workload", J.Str (workload_name t.tr_workload)); ("seed", J.Int t.tr_seed);
+        ("outcome", J.Str (outcome_to_string t.tr_outcome)); ("steps", J.Int t.tr_steps);
+        ("hits", J.Int (FP.total_hits t.tr_plan));
+      ]
+  in
+  let breach (n, o) = J.Obj [ ("attack", J.Str n); ("outcome", J.Str o) ] in
+  J.Obj
+    [
+      ("seed", J.Int r.rp_seed); ("ok", J.Bool r.rp_ok); ("replay_ok", J.Bool r.rp_replay_ok);
+      ("attacks_run", J.Int r.rp_attacks_run);
+      ("breached", J.List (List.map breach r.rp_breached));
+      ("site_hits", J.Obj (List.map (fun (n, h) -> (n, J.Int h)) r.rp_site_hits));
+      ("trials", J.List (List.map trial r.rp_trials));
+    ]

@@ -86,7 +86,7 @@ val run :
     check of the first trial.  [vcpus] is forwarded to
     {!run_workload}. *)
 
-val report_json : report -> string
+val report_json : report -> Obs.Json.t
 (** One JSON object with the effective seed, per-trial outcomes,
     aggregated per-site hit counts, breached-attack list and the
     replay verdict — what CI uploads as the failing-plan artifact. *)

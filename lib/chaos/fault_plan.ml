@@ -177,16 +177,3 @@ let journal t =
 
 let journal_equal a b =
   a.journal_rev = b.journal_rev && a.hits = b.hits
-
-let summary_json t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"seed\":%d,\"steps\":%d,\"total_hits\":%d,\"site_hits\":{" t.seed
-       t.nsteps (total_hits t));
-  List.iteri
-    (fun k s ->
-      if k > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (site_name s) (hits t s)))
-    all_sites;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf

@@ -168,7 +168,7 @@ val replay : ?config:config -> artifact -> (string, string) result
 
 (** {1 Reports} *)
 
-val report_json : report list -> string
+val report_json : report list -> Obs.Json.t
 (** One JSON object: per-scenario branch counts, pruning ratio,
     frontier coverage, exhaustion flag and minimized counterexample
     (if any); ["ok"] is true when no non-weakened scenario violated. *)

@@ -652,29 +652,28 @@ let rate_for cfg ~utilization ~mean_service_cycles =
     /. mean_service_cycles
 
 let report_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mode\":\"%s\",\"workload\":\"%s\",\"vcpus\":%d,\"requests\":%d,\"wall_cycles\":%d,\
-        \"throughput_rps\":%.1f,\"offered_rps\":%.1f,\"p50\":%d,\"p99\":%d,\"p999\":%d,\
-        \"mean\":%.1f,\"merged_digest\":\"%s\",\"guests\":["
-       (match r.r_mode with Open_loop -> "open" | Closed_loop -> "closed")
-       (workload_name r.r_workload) r.r_vcpus r.r_requests r.r_wall_cycles r.r_throughput
-       r.r_offered r.r_p50 r.r_p99 r.r_p999 r.r_mean r.r_merged_digest);
-  Array.iteri
-    (fun i (g : guest_report) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"id\":%d,\"seed\":%d,\"requests\":%d,\"p50\":%d,\"p99\":%d,\"p999\":%d,\
-            \"mean_svc\":%.1f,\"ledger_entries\":%d,\"ledger_queued\":%d,\"slog_ok\":%b,\
-            \"log_lines\":%d,\"data_digest\":\"%s\",\"hist_digest\":\"%s\",\"hostile\":%b,\
-            \"blocked\":%d,\"chaos_hits\":%d,\"journal\":\"%s\"}"
-           g.gr_id g.gr_seed g.gr_requests g.gr_p50 g.gr_p99 g.gr_p999 g.gr_mean_svc
-           g.gr_wait.Veil_core.Monitor.ws_entries g.gr_wait.Veil_core.Monitor.ws_queued_cycles
-           g.gr_slog_ok g.gr_log_lines g.gr_data_digest g.gr_hist_digest g.gr_hostile
-           g.gr_blocked g.gr_chaos_hits
-           (M.json_escape g.gr_journal)))
-    r.r_guests;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let module J = Obs.Json in
+  let guest (g : guest_report) =
+    J.Obj
+      [
+        ("id", J.Int g.gr_id); ("seed", J.Int g.gr_seed); ("requests", J.Int g.gr_requests);
+        ("p50", J.Int g.gr_p50); ("p99", J.Int g.gr_p99); ("p999", J.Int g.gr_p999);
+        ("mean_svc", J.fixed 1 g.gr_mean_svc);
+        ("ledger_entries", J.Int g.gr_wait.Veil_core.Monitor.ws_entries);
+        ("ledger_queued", J.Int g.gr_wait.Veil_core.Monitor.ws_queued_cycles);
+        ("slog_ok", J.Bool g.gr_slog_ok); ("log_lines", J.Int g.gr_log_lines);
+        ("data_digest", J.Str g.gr_data_digest); ("hist_digest", J.Str g.gr_hist_digest);
+        ("hostile", J.Bool g.gr_hostile); ("blocked", J.Int g.gr_blocked);
+        ("chaos_hits", J.Int g.gr_chaos_hits); ("journal", J.Str g.gr_journal);
+      ]
+  in
+  J.Obj
+    [
+      ("mode", J.Str (match r.r_mode with Open_loop -> "open" | Closed_loop -> "closed"));
+      ("workload", J.Str (workload_name r.r_workload)); ("vcpus", J.Int r.r_vcpus);
+      ("requests", J.Int r.r_requests); ("wall_cycles", J.Int r.r_wall_cycles);
+      ("throughput_rps", J.fixed 1 r.r_throughput); ("offered_rps", J.fixed 1 r.r_offered);
+      ("p50", J.Int r.r_p50); ("p99", J.Int r.r_p99); ("p999", J.Int r.r_p999);
+      ("mean", J.fixed 1 r.r_mean); ("merged_digest", J.Str r.r_merged_digest);
+      ("guests", J.List (Array.to_list (Array.map guest r.r_guests)));
+    ]

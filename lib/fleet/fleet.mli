@@ -131,4 +131,6 @@ val rate_for : config -> utilization:float -> mean_service_cycles:float -> float
     comfortably stable open loop, > 1.0 to demonstrate unbounded
     open-loop queue growth. *)
 
-val report_json : report -> string
+val report_json : report -> Obs.Json.t
+(** The whole report, per-guest rows included, as one JSON object;
+    replay identity compares these values. *)

@@ -11,7 +11,6 @@ type t = {
   ghcb_gpfn : Sevsnp.Types.gpfn;
   ghcb_va : Sevsnp.Types.va;
   shared : (Sevsnp.Types.va * Sevsnp.Types.gpfn) list;
-  mutable finalized : bool;
   mutable measurement : bytes option;
 }
 

@@ -21,7 +21,6 @@ type t = {
   shared : (Sevsnp.Types.va * Sevsnp.Types.gpfn) list;
       (** the untrusted in-process ocall arena: accessible to both the
           enclave (Dom_ENC) and the application/OS (Dom_UNT) *)
-  mutable finalized : bool;
   mutable measurement : bytes option;  (** set by VeilS-ENC *)
 }
 

@@ -397,14 +397,12 @@ let enclave_create t (proc : Process.t) ~binary ~heap_pages ~stack_pages =
             ghcb_gpfn = ghcb_frame;
             ghcb_va;
             shared;
-            finalized = false;
             measurement = None;
           }
         in
         (match t.hooks.Hooks.h_enclave_finalize desc with
         | Error _ -> Error Ktypes.EPERM
         | Ok measurement ->
-            desc.Enclave_desc.finalized <- true;
             desc.Enclave_desc.measurement <- Some measurement;
             proc.Process.enclave <- Some desc;
             Ok desc)
@@ -574,7 +572,7 @@ let sys_mmap t proc ~len ~protbits ~fd ~off =
        for i = 0 to npages - 1 do
          ignore (Pt.protect io ~root:proc.Process.pt_root (va + (i * T.page_size)) (flags_of_prot prot))
        done);
-    Process.add_vma proc { Process.vma_start = va; vma_npages = npages; vma_prot = prot; vma_file = None };
+    Process.add_vma proc { Process.vma_start = va; vma_npages = npages; vma_file = None };
     Ktypes.RInt va
   end
 
@@ -612,7 +610,6 @@ let sys_mprotect t proc va len protbits =
     for i = 0 to npages - 1 do
       if Pt.protect io ~root:proc.Process.pt_root (va + (i * T.page_size)) (flags_of_prot prot) then incr changed
     done;
-    (match Process.find_vma proc va with Some vma -> vma.Process.vma_prot <- prot | None -> ());
     (* Keep the enclave's protected tables in sync (§6.2). *)
     if proc.Process.enclave <> None then t.hooks.Hooks.h_pt_sync ~pid:proc.Process.pid ~va ~npages ~prot;
     if !changed = 0 then Ktypes.RErr Ktypes.EINVAL else Ktypes.RInt 0
@@ -839,9 +836,7 @@ let dispatch t (proc : Process.t) (sys : Sysno.t) (args : Ktypes.arg list) : Kty
   | Sysno.Execve, [ Str _path ] ->
       charge t C.Kernel 120_000;
       RInt 0
-  | Sysno.Exit, [ Int code ] | Sysno.Exit_group, [ Int code ] ->
-      proc.Process.exit_code <- Some code;
-      RInt 0
+  | Sysno.Exit, [ Int _ ] | Sysno.Exit_group, [ Int _ ] -> RInt 0
   | Sysno.Wait4, [ Int _pid ] -> RErr ENOSYS
   | Sysno.Kill, [ Int _pid; Int _sig ] -> RInt 0
   | Sysno.Mknod, [ Str path; Int mode; Int _dev ] | Sysno.Mknodat, [ Int _; Str path; Int mode; Int _dev ]

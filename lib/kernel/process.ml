@@ -1,7 +1,6 @@
 type vma = {
   vma_start : Sevsnp.Types.va;
   mutable vma_npages : int;
-  mutable vma_prot : Ktypes.prot;
   vma_file : string option;
 }
 
@@ -20,7 +19,6 @@ type t = {
   mutable brk : Sevsnp.Types.va;
   mutable vmas : vma list;
   mutable enclave : Enclave_desc.t option;
-  mutable exit_code : int option;
 }
 
 (* 39-bit VA space (3-level tables): keep regions well apart. *)
@@ -44,7 +42,6 @@ let create ~pid ~ppid ~pt_root =
     brk = brk_base;
     vmas = [];
     enclave = None;
-    exit_code = None;
   }
 
 let alloc_fd t fd =

@@ -3,7 +3,6 @@
 type vma = {
   vma_start : Sevsnp.Types.va;
   mutable vma_npages : int;
-  mutable vma_prot : Ktypes.prot;
   vma_file : string option;  (** backing path for file mappings *)
 }
 
@@ -22,7 +21,6 @@ type t = {
   mutable brk : Sevsnp.Types.va;
   mutable vmas : vma list;
   mutable enclave : Enclave_desc.t option;
-  mutable exit_code : int option;
 }
 
 val create : pid:int -> ppid:int -> pt_root:Sevsnp.Types.gpfn -> t

@@ -8,7 +8,6 @@ type status =
 type task = {
   name : string;
   mutable status : status option; (* None = finished *)
-  mutable home : int;
   mutable parked_at : int;  (* cycle stamp when suspended; -1 = not stamped *)
   mutable parked_blocked : bool;  (* Blocked (vs merely runnable-in-queue) *)
 }
@@ -64,7 +63,7 @@ let spawn ?vcpu t ~name body =
         v
     | None -> t.spawned mod nvcpus t
   in
-  let task = { name; status = Some (Fresh body); home; parked_at = -1; parked_blocked = false } in
+  let task = { name; status = Some (Fresh body); parked_at = -1; parked_blocked = false } in
   (match t.wait_obs with
   | Some wo when Obs.Trace.enabled wo.wo_tracer -> task.parked_at <- wo.wo_now ()
   | _ -> ());
@@ -221,7 +220,6 @@ let step_vcpu t vid =
           match find_runnable t t.queues.(q) with
           | Some task ->
               t.queues.(q) <- List.filter (fun x -> x != task) t.queues.(q);
-              task.home <- vid;
               t.steals <- t.steals + 1;
               run_on task;
               true

@@ -9,14 +9,12 @@ let phase_letter = function
   | Trace.End -> "E"
   | Trace.Complete -> "X"
 
-let buf_ts buf ~freq_hz key cycles =
-  Buffer.add_string buf key;
+(* Chrome wants microseconds when a clock rate is given; raw cycles
+   otherwise. *)
+let ts ~freq_hz cycles =
   match freq_hz with
-  | None -> Buffer.add_string buf (string_of_int cycles)
-  | Some hz ->
-      (* Chrome wants microseconds. *)
-      Buffer.add_string buf
-        (Printf.sprintf "%.3f" (float_of_int cycles *. 1e6 /. float_of_int hz))
+  | None -> Json.Int cycles
+  | Some hz -> Json.fixed 3 (float_of_int cycles *. 1e6 /. float_of_int hz)
 
 let to_json ?freq_hz ?pulse t =
   (* Complete spans are recorded at their end but stamped with their
@@ -27,21 +25,25 @@ let to_json ?freq_hz ?pulse t =
   in
   let buf = Buffer.create 4096 in
   let first = ref true in
-  let sep () =
+  let emit ev =
     if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf "\n  "
+    Buffer.add_string buf "\n  ";
+    Json.to_buffer buf (Json.Obj ev)
   in
+  let ts = ts ~freq_hz in
+  let str s = Json.Str s and int n = Json.Int n in
+  let opt cond field = if cond then [ field ] else [] in
   Buffer.add_string buf "{\"traceEvents\":[";
   (* Ring wraparound is not silent: say how many events this export is
      missing, as a global instant pinned at the window's start. *)
   if Trace.dropped t > 0 then begin
-    sep ();
     let ts0 = match evs with ev :: _ -> ev.Trace.ev_ts | [] -> 0 in
-    Buffer.add_string buf
-      "{\"name\":\"trace_truncated\",\"cat\":\"veil\",\"ph\":\"i\",\"s\":\"g\"";
-    buf_ts buf ~freq_hz ",\"ts\":" ts0;
-    Buffer.add_string buf
-      (Printf.sprintf ",\"pid\":0,\"tid\":0,\"args\":{\"dropped\":%d}}" (Trace.dropped t))
+    emit
+      [
+        ("name", str "trace_truncated"); ("cat", str "veil"); ("ph", str "i"); ("s", str "g");
+        ("ts", ts ts0); ("pid", int 0); ("tid", int 0);
+        ("args", Json.Obj [ ("dropped", int (Trace.dropped t)) ]);
+      ]
   end;
   (* Metadata: name every VMPL process and VCPU thread we will use. *)
   let seen_pids = Hashtbl.create 8 and seen_tids = Hashtbl.create 8 in
@@ -50,43 +52,37 @@ let to_json ?freq_hz ?pulse t =
       let pid = ev.Trace.ev_vmpl and tid = ev.Trace.ev_vcpu in
       if not (Hashtbl.mem seen_pids pid) then begin
         Hashtbl.replace seen_pids pid ();
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"vmpl%d\"}}"
-             pid pid)
+        emit
+          [
+            ("name", str "process_name"); ("ph", str "M"); ("pid", int pid); ("tid", int 0);
+            ("args", Json.Obj [ ("name", str (Printf.sprintf "vmpl%d" pid)) ]);
+          ]
       end;
       if not (Hashtbl.mem seen_tids (pid, tid)) then begin
         Hashtbl.replace seen_tids (pid, tid) ();
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"vcpu%d\"}}"
-             pid tid tid)
+        emit
+          [
+            ("name", str "thread_name"); ("ph", str "M"); ("pid", int pid); ("tid", int tid);
+            ("args", Json.Obj [ ("name", str (Printf.sprintf "vcpu%d" tid)) ]);
+          ]
       end)
     evs;
   List.iter
     (fun ev ->
-      sep ();
-      Buffer.add_string buf "{\"name\":\"";
-      Buffer.add_string buf (Metrics.json_escape (Trace.kind_name ev.Trace.ev_kind));
-      Buffer.add_string buf "\",\"cat\":\"veil\",\"ph\":\"";
-      Buffer.add_string buf (phase_letter ev.Trace.ev_phase);
-      Buffer.add_char buf '"';
-      if ev.Trace.ev_phase = Trace.Instant then Buffer.add_string buf ",\"s\":\"t\"";
-      buf_ts buf ~freq_hz ",\"ts\":" ev.Trace.ev_ts;
-      if ev.Trace.ev_phase = Trace.Complete then buf_ts buf ~freq_hz ",\"dur\":" ev.Trace.ev_dur;
-      Buffer.add_string buf
-        (Printf.sprintf ",\"pid\":%d,\"tid\":%d" ev.Trace.ev_vmpl ev.Trace.ev_vcpu);
-      Buffer.add_string buf ",\"args\":{";
-      if ev.Trace.ev_bucket <> "" then begin
-        Buffer.add_string buf "\"bucket\":\"";
-        Buffer.add_string buf (Metrics.json_escape ev.Trace.ev_bucket);
-        Buffer.add_string buf "\","
-      end;
-      if ev.Trace.ev_id <> 0 then
-        Buffer.add_string buf (Printf.sprintf "\"id\":%d," ev.Trace.ev_id);
-      Buffer.add_string buf (Printf.sprintf "\"arg\":%d,\"cycles\":%d}}" ev.Trace.ev_arg ev.Trace.ev_ts))
+      emit
+        ([ ("name", str (Trace.kind_name ev.Trace.ev_kind)); ("cat", str "veil");
+           ("ph", str (phase_letter ev.Trace.ev_phase)) ]
+        @ opt (ev.Trace.ev_phase = Trace.Instant) ("s", str "t")
+        @ [ ("ts", ts ev.Trace.ev_ts) ]
+        @ opt (ev.Trace.ev_phase = Trace.Complete) ("dur", ts ev.Trace.ev_dur)
+        @ [
+            ("pid", int ev.Trace.ev_vmpl); ("tid", int ev.Trace.ev_vcpu);
+            ( "args",
+              Json.Obj
+                (opt (ev.Trace.ev_bucket <> "") ("bucket", str ev.Trace.ev_bucket)
+                @ opt (ev.Trace.ev_id <> 0) ("id", int ev.Trace.ev_id)
+                @ [ ("arg", int ev.Trace.ev_arg); ("cycles", int ev.Trace.ev_ts) ]) );
+          ]))
     evs;
   (* Flow events: one s -> t* -> f chain per causal id that hops
      between (vmpl, vcpu) lanes, so Perfetto draws the request's
@@ -102,12 +98,13 @@ let to_json ?freq_hz ?pulse t =
     List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) by_id [])
   in
   let flow_point ph (ev : Trace.event) =
-    sep ();
-    Buffer.add_string buf (Printf.sprintf "{\"name\":\"req\",\"cat\":\"veil.flow\",\"ph\":\"%s\"" ph);
-    if ph = "f" then Buffer.add_string buf ",\"bp\":\"e\"";
-    Buffer.add_string buf (Printf.sprintf ",\"id\":%d" ev.Trace.ev_id);
-    buf_ts buf ~freq_hz ",\"ts\":" ev.Trace.ev_ts;
-    Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d}" ev.Trace.ev_vmpl ev.Trace.ev_vcpu)
+    emit
+      ([ ("name", str "req"); ("cat", str "veil.flow"); ("ph", str ph) ]
+      @ opt (ph = "f") ("bp", str "e")
+      @ [
+          ("id", int ev.Trace.ev_id); ("ts", ts ev.Trace.ev_ts); ("pid", int ev.Trace.ev_vmpl);
+          ("tid", int ev.Trace.ev_vcpu);
+        ])
   in
   List.iter
     (fun id ->
@@ -136,11 +133,11 @@ let to_json ?freq_hz ?pulse t =
   (match pulse with
   | Some pu when Pulse.retained pu > 0 ->
       let track name t1 v =
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"veil.pulse\",\"ph\":\"C\"" name);
-        buf_ts buf ~freq_hz ",\"ts\":" t1;
-        Buffer.add_string buf (Printf.sprintf ",\"pid\":0,\"args\":{\"value\":%d}}" v)
+        emit
+          [
+            ("name", str name); ("cat", str "veil.pulse"); ("ph", str "C"); ("ts", ts t1);
+            ("pid", int 0); ("args", Json.Obj [ ("value", int v) ]);
+          ]
       in
       for i = Pulse.first_retained pu to Pulse.captured pu - 1 do
         match Pulse.bounds pu i with

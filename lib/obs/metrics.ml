@@ -318,47 +318,26 @@ let dump t =
     (names t);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   refresh t;
-  let pick f = List.filter_map (fun n -> f n (Hashtbl.find t.tbl n)) (names t) in
-  let obj fields = "{" ^ String.concat "," fields ^ "}" in
-  let counters =
-    pick (fun n -> function
-      | Counter c -> Some (Printf.sprintf "\"%s\":%d" (json_escape n) c.c)
-      | _ -> None)
+  let pick f =
+    Json.Obj
+      (List.filter_map (fun n -> Option.map (fun v -> (n, v)) (f (Hashtbl.find t.tbl n))) (names t))
   in
-  let gauges =
-    pick (fun n -> function
-      | Gauge g -> Some (Printf.sprintf "\"%s\":%d" (json_escape n) g.g)
-      | _ -> None)
-  in
-  let histograms =
-    pick (fun n -> function
-      | Histogram h ->
-          Some
-            (Printf.sprintf
-               "\"%s\":{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"mean\":%g,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"p999\":%d}"
-               (json_escape n) h.n h.sum h.mn h.mx (mean h) (percentile h 50.0) (percentile h 95.0)
-               (percentile h 99.0) (percentile h 99.9))
-      | _ -> None)
-  in
-  obj
+  Json.Obj
     [
-      "\"counters\":" ^ obj counters;
-      "\"gauges\":" ^ obj gauges;
-      "\"histograms\":" ^ obj histograms;
+      ("counters", pick (function Counter c -> Some (Json.Int c.c) | _ -> None));
+      ("gauges", pick (function Gauge g -> Some (Json.Int g.g) | _ -> None));
+      ( "histograms",
+        pick (function
+          | Histogram h ->
+              let p q = Json.Int (percentile h q) in
+              Some
+                (Json.Obj
+                   [
+                     ("count", Json.Int h.n); ("sum", Json.Int h.sum); ("min", Json.Int h.mn);
+                     ("max", Json.Int h.mx); ("mean", Json.Num (Printf.sprintf "%g" (mean h)));
+                     ("p50", p 50.0); ("p95", p 95.0); ("p99", p 99.0); ("p999", p 99.9);
+                   ])
+          | _ -> None) );
     ]

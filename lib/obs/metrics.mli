@@ -143,10 +143,6 @@ val reset : t -> unit
 val dump : t -> string
 (** Flat text, one metric per line, sorted by name. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** One JSON object: [{"counters":{..},"gauges":{..},"histograms":{..}}]
     with mean/p50/p95/p99/p999 readouts inlined per histogram. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (shared with
-    the trace exporter). *)

@@ -138,14 +138,10 @@ let measure ?(trace = false) ?(rings = false) ?pulse ~nvcpus ~seed ~spawn_work (
    object — shared by the bench JSON document and [veilctl pulse
    --json] so the two never drift. *)
 let pulse_json sys =
+  let module J = Obs.Json in
   let pu = sys.Veil_core.Boot.platform.P.pulse in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"interval\":%d,\"captured\":%d,\"overwritten\":%d,\"intervals\":["
-       (Obs.Pulse.interval_cycles pu) (Obs.Pulse.captured pu) (Obs.Pulse.overwritten pu));
-  let first = Obs.Pulse.first_retained pu in
-  for i = first to Obs.Pulse.captured pu - 1 do
-    if i > first then Buffer.add_char buf ',';
+  let g x = J.Num (Printf.sprintf "%g" x) in
+  let interval i =
     let t0, t1 = match Obs.Pulse.bounds pu i with Some b -> b | None -> (0, 0) in
     let n, p50, p99, p999 =
       match Obs.Pulse.hist_window pu ~metric:"kernel.syscall_cycles" ~window:1 ~upto:i with
@@ -159,28 +155,32 @@ let pulse_json sys =
     let exits =
       match Obs.Pulse.counter_delta pu ~metric:"platform.vmgexit" i with Some v -> v | None -> 0
     in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"i\":%d,\"t0\":%d,\"t1\":%d,\"syscalls\":%d,\"p50\":%d,\"p99\":%d,\"p999\":%d,\
-          \"vmgexits\":%d}"
-         i t0 t1 n p50 p99 p999 exits)
-  done;
-  Buffer.add_string buf "],\"slo\":[";
-  List.iteri
-    (fun k (br : Obs.Pulse.burn_report) ->
-      if k > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"metric\":\"%s\",\"good_below\":%d,\"slo\":%g,\"window\":%d,\
-            \"total\":%d,\"bad\":%d,\"budget\":%g,\"burn\":%g,\"crossed\":%b,\"crossings\":%d}"
-           (Obs.Metrics.json_escape br.Obs.Pulse.br_name)
-           (Obs.Metrics.json_escape br.Obs.Pulse.br_metric)
-           br.Obs.Pulse.br_good_below br.Obs.Pulse.br_slo br.Obs.Pulse.br_window
-           br.Obs.Pulse.br_total br.Obs.Pulse.br_bad br.Obs.Pulse.br_budget br.Obs.Pulse.br_burn
-           br.Obs.Pulse.br_crossed br.Obs.Pulse.br_crossings))
-    (Obs.Pulse.burn_reports pu);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+    J.Obj
+      [
+        ("i", J.Int i); ("t0", J.Int t0); ("t1", J.Int t1); ("syscalls", J.Int n);
+        ("p50", J.Int p50); ("p99", J.Int p99); ("p999", J.Int p999); ("vmgexits", J.Int exits);
+      ]
+  in
+  let burn (br : Obs.Pulse.burn_report) =
+    J.Obj
+      [
+        ("name", J.Str br.Obs.Pulse.br_name); ("metric", J.Str br.Obs.Pulse.br_metric);
+        ("good_below", J.Int br.Obs.Pulse.br_good_below); ("slo", g br.Obs.Pulse.br_slo);
+        ("window", J.Int br.Obs.Pulse.br_window); ("total", J.Int br.Obs.Pulse.br_total);
+        ("bad", J.Int br.Obs.Pulse.br_bad); ("budget", g br.Obs.Pulse.br_budget);
+        ("burn", g br.Obs.Pulse.br_burn); ("crossed", J.Bool br.Obs.Pulse.br_crossed);
+        ("crossings", J.Int br.Obs.Pulse.br_crossings);
+      ]
+  in
+  let first = Obs.Pulse.first_retained pu in
+  J.Obj
+    [
+      ("interval", J.Int (Obs.Pulse.interval_cycles pu));
+      ("captured", J.Int (Obs.Pulse.captured pu));
+      ("overwritten", J.Int (Obs.Pulse.overwritten pu));
+      ("intervals", J.List (List.init (Obs.Pulse.retained pu) (fun k -> interval (first + k))));
+      ("slo", J.List (List.map burn (Obs.Pulse.burn_reports pu)));
+    ]
 
 let syscall_work ~ops_total sys smp =
   let kernel = sys.Veil_core.Boot.kernel in

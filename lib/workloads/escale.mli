@@ -72,7 +72,7 @@ val measure :
     interval into VeilS-LOG — read the series off
     [sys.platform.pulse]. *)
 
-val pulse_json : Veil_core.Boot.veil_system -> string
+val pulse_json : Veil_core.Boot.veil_system -> Obs.Json.t
 (** Veil-Pulse per-interval timeseries of a measured run as one JSON
     object: [interval]/[captured]/[overwritten], an [intervals] array
     ([i], [t0], [t1], [syscalls], windowed [p50]/[p99]/[p999] of
