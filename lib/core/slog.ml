@@ -21,6 +21,7 @@ type t = {
   mutable head : int;  (** next free byte offset within the region *)
   mutable nlines : int;
   mutable chain : bytes;
+  chain_ctx : Veil_crypto.Sha256.ctx;  (** reset for every chain step *)
 }
 
 (* Bounded buffered-retry queue (per VCPU shard): past this the service
@@ -44,15 +45,19 @@ let count t = t.nlines
 
 let chain_digest t = t.chain
 
-let extend_chain prev line =
-  let ctx = Veil_crypto.Sha256.init () in
+let extend_chain ctx prev line =
+  Veil_crypto.Sha256.reset ctx;
   Veil_crypto.Sha256.update ctx prev;
   Veil_crypto.Sha256.update_string ctx line;
   Veil_crypto.Sha256.finalize ctx
 
+(* No context for an empty log: explore verifies every branch's. *)
 let verify_chain ~lines ~digest =
-  let d = List.fold_left extend_chain (Bytes.make 32 '\000') lines in
-  Bytes.equal d digest
+  let zero = Bytes.make 32 '\000' in
+  let head =
+    if lines = [] then zero else List.fold_left (extend_chain (Veil_crypto.Sha256.init ())) zero lines
+  in
+  Bytes.equal head digest
 
 let base_gpa t = T.gpa_of_gpfn t.region.Layout.lo
 
@@ -68,7 +73,7 @@ let write_line t vcpu line =
   Sevsnp.Vcpu.charge vcpu C.Monitor 350 (* bookkeeping *);
   P.write platform vcpu (base_gpa t + t.head) framed;
   Sevsnp.Vcpu.charge vcpu C.Crypto (C.hash_cost len);
-  t.chain <- extend_chain t.chain line;
+  t.chain <- extend_chain t.chain_ctx t.chain line;
   t.head <- t.head + len + 4;
   t.nlines <- t.nlines + 1;
   Obs.Metrics.incr t.c_appended
@@ -193,6 +198,7 @@ let install mon =
       head = 0;
       nlines = 0;
       chain = Bytes.make 32 '\000';
+      chain_ctx = Veil_crypto.Sha256.init ();
     }
   in
   Monitor.register_service mon ~name:"veils-log" ~target:Privdom.Sec (fun m vcpu req ->

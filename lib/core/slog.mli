@@ -30,8 +30,14 @@ val read_all : t -> string list
 val chain_digest : t -> bytes
 (** Running SHA-256 hash chain over every appended line. *)
 
+val extend_chain : Veil_crypto.Sha256.ctx -> bytes -> string -> bytes
+(** [extend_chain ctx prev line] is one chain step, SHA-256(prev ||
+    line), computed on [ctx] after resetting it: the new 32-byte head
+    is its only allocation. *)
+
 val verify_chain : lines:string list -> digest:bytes -> bool
-(** Remote-side check that [lines] reproduce [digest]. *)
+(** Remote-side check that [lines] reproduce [digest], on one context
+    for the whole list. *)
 
 val clear : t -> unit
 (** Remote-user-initiated reset after retrieval (§6.3).  Also drains

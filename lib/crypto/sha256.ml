@@ -21,14 +21,17 @@ type ctx = {
   w : int array; (* message schedule scratch *)
 }
 
-let init () =
-  {
-    h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
+(* The block buffer starts zeroed: a context can sit inside a
+   marshalled snapshot, whose bytes must not depend on what the
+   allocator left behind. *)
+let init () = { h = Array.copy iv; buf = Bytes.make 64 '\000'; buf_len = 0; total = 0; w = Array.make 64 0 }
+
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 0
 
 (* Compression runs on Int64 locals, which ocamlopt keeps unboxed in
    registers: a shift or logical op is one instruction with no tag bit
@@ -145,18 +148,21 @@ let update ctx data =
 
 let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 
+(* Pads inside the block buffer: 0x80, zeros, then the 64-bit bit
+   length in the last 8 bytes, spilling into a second block when fewer
+   than 9 bytes are left. *)
 let finalize ctx =
-  let total_bits = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1) mod 64 in
-    if rem <= 56 then 56 - rem + 1 else 64 - rem + 56 + 1
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  Bytes.set_int64_be pad pad_len (Int64.of_int total_bits);
-  (* update would adjust [total]; that is harmless after length capture *)
-  update ctx pad;
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))

@@ -10,7 +10,15 @@ val init : unit -> ctx
 val update : ctx -> bytes -> unit
 val update_string : ctx -> string -> unit
 val finalize : ctx -> bytes
-(** 32-byte digest.  The context must not be reused afterwards. *)
+(** 32-byte digest, padded in the context's own block buffer: the
+    digest is the only allocation.  Afterwards the context must be
+    {!reset} before it digests another message. *)
+
+val reset : ctx -> unit
+(** Return a context to the initial hash value with nothing fed, as
+    {!init} would, without allocating.  A caller that digests many
+    short messages (VeilS-LOG's chain step) keeps one context and
+    resets it per message. *)
 
 val digest_bytes : bytes -> bytes
 val digest_string : string -> bytes

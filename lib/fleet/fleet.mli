@@ -82,7 +82,9 @@ type guest_report = {
       (** this guest's serialized-monitor entry ledger over the
           serving window *)
   gr_journal : string;  (** lane digit per request served, in order *)
-  gr_slog_ok : bool;  (** VeilS-LOG hash chain verified *)
+  gr_slog_ok : bool;
+      (** the attested fetch verified the hash chain and returned
+          exactly the lines stored in the protected region *)
   gr_log_lines : int;
       (** protected log lines fetched over the attested channel
           (exercises the typed reconnect-and-retry path) *)

@@ -1,4 +1,4 @@
-type pipe = { pbuf : Buffer.t; mutable readers : int; mutable writers : int }
+type pipe = { pq : Bytequeue.t; mutable readers : int; mutable writers : int }
 
 type kind =
   | File of file_state
@@ -23,7 +23,7 @@ let mk_file ~path ~readable ~writable ~append =
 let mk_sock ep = { kind = Sock ep }
 
 let mk_pipe () =
-  let p = { pbuf = Buffer.create 256; readers = 1; writers = 1 } in
+  let p = { pq = Bytequeue.create (); readers = 1; writers = 1 } in
   ({ kind = Pipe_r p }, { kind = Pipe_w p })
 
 let mk_veil_dev () = { kind = Veil_dev }

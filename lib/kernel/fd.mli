@@ -4,7 +4,7 @@
     fd table maps small integers to these, and [dup] aliases share the
     same description (and hence file position), as on Linux. *)
 
-type pipe = { pbuf : Buffer.t; mutable readers : int; mutable writers : int }
+type pipe = { pq : Bytequeue.t; mutable readers : int; mutable writers : int }
 
 type kind =
   | File of file_state
@@ -26,6 +26,6 @@ type t = { kind : kind }
 val mk_file : path:string -> readable:bool -> writable:bool -> append:bool -> t
 val mk_sock : Net.endpoint -> t
 val mk_pipe : unit -> t * t
-(** (read end, write end) sharing one buffer. *)
+(** (read end, write end) sharing one byte queue. *)
 
 val mk_veil_dev : unit -> t

@@ -488,15 +488,11 @@ let sys_read t proc fd len =
               charge t C.Copy (C.copy_cost (Bytes.length data));
               Ktypes.RBuf data)
       | Fd.Pipe_r p ->
-          let n = min len (Buffer.length p.Fd.pbuf) in
+          let n = min len (Bytequeue.length p.Fd.pq) in
           if n = 0 then if p.Fd.writers > 0 then Ktypes.RErr Ktypes.EAGAIN else Ktypes.RBuf Bytes.empty
           else begin
-            let all = Buffer.contents p.Fd.pbuf in
-            let out = Bytes.of_string (String.sub all 0 n) in
-            Buffer.clear p.Fd.pbuf;
-            Buffer.add_string p.Fd.pbuf (String.sub all n (String.length all - n));
             charge t C.Copy (C.copy_cost n);
-            Ktypes.RBuf out
+            Ktypes.RBuf (Bytequeue.take p.Fd.pq n)
           end
       | Fd.Pipe_w _ -> Ktypes.RErr Ktypes.EBADF
       | Fd.Veil_dev -> Ktypes.RErr Ktypes.EINVAL)
@@ -522,7 +518,7 @@ let sys_write t proc fd data =
       | Fd.Pipe_w p ->
           if p.Fd.readers = 0 then Ktypes.RErr Ktypes.EPIPE
           else begin
-            Buffer.add_bytes p.Fd.pbuf data;
+            Bytequeue.push p.Fd.pq data;
             charge t C.Copy (C.copy_cost (Bytes.length data));
             Ktypes.RInt (Bytes.length data)
           end

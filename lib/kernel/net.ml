@@ -1,4 +1,4 @@
-type stream = { inbox : Buffer.t; mutable peer : endpoint option; mutable open_ : bool }
+type stream = { inbox : Bytequeue.t; mutable peer : endpoint option; mutable open_ : bool }
 
 and ep_state =
   | Fresh
@@ -36,7 +36,7 @@ let listen t ep ~backlog =
       Ok ()
   | _ -> Error Ktypes.EINVAL
 
-let mk_stream () = { inbox = Buffer.create 256; peer = None; open_ = true }
+let mk_stream () = { inbox = Bytequeue.create (); peer = None; open_ = true }
 
 let connect t ep ~port =
   match ep.state with
@@ -80,7 +80,7 @@ let send _t ep data =
       else begin
         match s.peer with
         | Some { state = Connected peer_stream; _ } when peer_stream.open_ ->
-            Buffer.add_bytes peer_stream.inbox data;
+            Bytequeue.push peer_stream.inbox data;
             Ok (Bytes.length data)
         | _ -> Error Ktypes.EPIPE
       end)
@@ -94,19 +94,12 @@ let recv _t ep len =
   | Connected s ->
       (* EOF (empty read) once the peer has shut down and the queue is
          drained; EAGAIN while the peer may still send *)
-      if Buffer.length s.inbox = 0 then
+      if Bytequeue.length s.inbox = 0 then
         if s.open_ && peer_open s then Error Ktypes.EAGAIN else Ok Bytes.empty
-      else begin
-        let n = min len (Buffer.length s.inbox) in
-        let out = Bytes.of_string (String.sub (Buffer.contents s.inbox) 0 n) in
-        let rest = String.sub (Buffer.contents s.inbox) n (Buffer.length s.inbox - n) in
-        Buffer.clear s.inbox;
-        Buffer.add_string s.inbox rest;
-        Ok out
-      end
+      else Ok (Bytequeue.take s.inbox len)
   | _ -> Error Ktypes.ENOTCONN
 
-let pending _t ep = match ep.state with Connected s -> Buffer.length s.inbox | _ -> 0
+let pending _t ep = match ep.state with Connected s -> Bytequeue.length s.inbox | _ -> 0
 
 let shutdown _t ep = match ep.state with Connected s -> s.open_ <- false | _ -> ()
 

@@ -4,7 +4,13 @@
     workloads (lighttpd/NGINX/memcached miniatures): listeners with
     accept queues and connected stream pairs with unbounded byte
     queues.  Single-threaded semantics: operations never block;
-    [recv] on an empty stream returns [EAGAIN]. *)
+    [recv] on an empty stream returns [EAGAIN].
+
+    Each receive side is a {!Bytequeue}: a queue of chunks, one per
+    [send], with a read offset into the head chunk.  [send] copies the
+    caller's bytes once, so the caller may reuse its buffer at once;
+    [recv] returns bytes the receiver owns, either the whole head chunk
+    with no further copy or one fresh copy of the bytes asked for. *)
 
 type t
 type endpoint
@@ -24,7 +30,15 @@ val pair : t -> endpoint * endpoint
 (** A connected endpoint pair (socketpair). *)
 
 val send : t -> endpoint -> bytes -> (int, Ktypes.errno) result
+(** Queue a copy of the bytes on the peer; a zero-length send queues
+    nothing.  [EPIPE] once either side has shut down or the peer has
+    closed; [ENOTCONN] on a closed endpoint. *)
+
 val recv : t -> endpoint -> int -> (bytes, Ktypes.errno) result
+(** The next [min len queued] bytes.  On an empty queue: [EAGAIN] while
+    both sides are open, an empty result (EOF) once either has shut
+    down or closed. *)
+
 val pending : t -> endpoint -> int
 (** Bytes currently queued for [recv]. *)
 

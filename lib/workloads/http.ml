@@ -93,22 +93,17 @@ let client_connect env ~port =
 let recv_all env fd =
   match Env.recv env fd 65536 with Some b -> b | None -> Bytes.empty
 
+(* Scans the response in place; the body is its one copy. *)
 let strip_header resp =
-  let s = Bytes.to_string resp in
-  if not (String.length s >= 12 && String.sub s 9 3 = "200") then None
-  else
-  match String.index_opt s '\r' with
-  | None -> None
-  | Some _ -> (
-      (* find \r\n\r\n *)
-      let rec find i =
-        if i + 3 >= String.length s then None
-        else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n' then Some (i + 4)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some body_start -> Some (Bytes.sub resp body_start (Bytes.length resp - body_start)))
+  let n = Bytes.length resp in
+  let at i c = Bytes.get resp i = c in
+  let rec find i =
+    if i + 3 >= n then None
+    else if at i '\r' && at (i + 1) '\n' && at (i + 2) '\r' && at (i + 3) '\n' then Some (i + 4)
+    else find (i + 1)
+  in
+  if not (n >= 12 && at 9 '2' && at 10 '0' && at 11 '0') then None
+  else Option.map (fun body -> Bytes.sub resp body (n - body)) (find 0)
 
 let client_get ?(serve = fun () -> ()) env ~port ~path =
   let fd = client_connect env ~port in

@@ -187,6 +187,35 @@ let test_slog_append_and_read () =
   Alcotest.(check bool) "tampered lines fail the chain" false
     (V.Slog.verify_chain ~lines:("forged" :: List.tl lines) ~digest:(V.Slog.chain_digest slog))
 
+(* Every chain step runs on the log's one reused context.  After N
+   appends the head must equal a chain of one-shot digests over the
+   stored lines and [verify_chain] must agree, while a forged or a
+   dropped line still breaks it. *)
+let test_slog_chain_on_reused_context () =
+  List.iter
+    (fun n ->
+      let sys = boot () in
+      run_audited_syscalls sys n;
+      let slog = sys.V.Boot.slog in
+      let lines = V.Slog.read_all slog and digest = V.Slog.chain_digest slog in
+      let tag = Printf.sprintf "%d appends" n in
+      Alcotest.(check int) (tag ^ ": lines stored") n (List.length lines);
+      let one_shot =
+        List.fold_left
+          (fun prev line -> Veil_crypto.Sha256.digest_string (Bytes.to_string prev ^ line))
+          (Bytes.make 32 '\000') lines
+      in
+      Alcotest.(check bool) (tag ^ ": head = one-shot chain") true (Bytes.equal one_shot digest);
+      Alcotest.(check bool) (tag ^ ": chain verifies") true (V.Slog.verify_chain ~lines ~digest);
+      if n > 0 then begin
+        let forged = List.mapi (fun i l -> if i = n - 1 then l ^ " " else l) lines in
+        Alcotest.(check bool) (tag ^ ": forged last line fails") false
+          (V.Slog.verify_chain ~lines:forged ~digest);
+        Alcotest.(check bool) (tag ^ ": dropped first line fails") false
+          (V.Slog.verify_chain ~lines:(List.tl lines) ~digest)
+      end)
+    [ 0; 1; 2; 37 ]
+
 let test_slog_survives_kernel_tamper () =
   let sys = boot () in
   run_audited_syscalls sys 3;
@@ -453,6 +482,7 @@ let suite =
     ("kci rejects tampered module", `Quick, test_kci_rejects_bad_signature);
     ("kci rejects unknown symbol", `Quick, test_kci_rejects_unknown_symbol);
     ("slog append/read/chain", `Quick, test_slog_append_and_read);
+    ("slog chain on one reused context", `Quick, test_slog_chain_on_reused_context);
     ("slog survives kernel tamper", `Quick, test_slog_survives_kernel_tamper);
     ("slog capacity + clear", `Quick, test_slog_capacity);
     ("enclave measurement reproducible", `Quick, test_enclave_measurement_reproducible);

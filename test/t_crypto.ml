@@ -8,18 +8,34 @@ let check_hex msg expected got = Alcotest.(check string) msg expected (hex got)
 
 (* --- SHA-256 (FIPS 180-4 / NIST vectors) --- *)
 
+let nist_vectors =
+  [
+    ("empty", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "");
+    ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad", "abc");
+    ( "448-bit",
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq" );
+    ( "896-bit, two blocks",
+      "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+      "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu" );
+    ("million a", "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0", String.make 1_000_000 'a');
+  ]
+
 let test_sha256_vectors () =
-  check_hex "empty" "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-    (Sha256.digest_string "");
-  check_hex "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Sha256.digest_string "abc");
-  check_hex "448-bit" "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-    (Sha256.digest_string "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  check_hex "896-bit, two blocks" "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-    (Sha256.digest_string
-       "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu");
-  check_hex "million a" "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.digest_string (String.make 1_000_000 'a'))
+  List.iter (fun (name, expected, msg) -> check_hex name expected (Sha256.digest_string msg)) nist_vectors
+
+(* One context, reset between messages, digests every vector: [reset]
+   leaves nothing of the previous message, its length or its padding
+   behind.  The list runs twice, so each vector also runs right after
+   a finalized one. *)
+let test_sha256_vectors_reused_context () =
+  let ctx = Sha256.init () in
+  List.iter
+    (fun (name, expected, msg) ->
+      Sha256.reset ctx;
+      Sha256.update_string ctx msg;
+      check_hex (name ^ ", reused context") expected (Sha256.finalize ctx))
+    (nist_vectors @ nist_vectors)
 
 (* Reference model: textbook SHA-256 over a whole message, one round
    per loop turn with the eight-way state shuffle and masked
@@ -75,22 +91,34 @@ let reference_sha256 msg =
   out
 
 (* A message of 0..1000 bytes, padding-boundary lengths over-drawn,
-   and the cut points that split it into [update] pieces. *)
+   the cut points that split it into [update] pieces, and in half the
+   cases an earlier message fed to the same context before a [reset]
+   (finalized when its length is even, abandoned mid-block when odd). *)
 let sha_message =
   let open QCheck.Gen in
   let len = frequency [ (1, oneofl [ 55; 56; 63; 64; 119; 120; 127; 128 ]); (2, 0 -- 1000) ] in
   len >>= fun n ->
-  pair (string_size ~gen:char (return n)) (list_size (0 -- 12) (0 -- n))
+  triple (string_size ~gen:char (return n)) (list_size (0 -- 12) (0 -- n))
+    (option ~ratio:0.5 (string_size ~gen:char (0 -- 200)))
 
 let sha256_matches_reference =
   QCheck.Test.make ~name:"sha256 in pieces = reference model" ~count:2000
     (QCheck.make
-       ~print:(fun (msg, cuts) ->
-         Printf.sprintf "%d bytes cut at [%s]" (String.length msg)
-           (String.concat "; " (List.map string_of_int cuts)))
+       ~print:(fun (msg, cuts, earlier) ->
+         Printf.sprintf "%d bytes cut at [%s]%s" (String.length msg)
+           (String.concat "; " (List.map string_of_int cuts))
+           (match earlier with
+           | None -> ""
+           | Some e -> Printf.sprintf ", context reused after %d bytes" (String.length e)))
        sha_message)
-    (fun (msg, cuts) ->
+    (fun (msg, cuts, earlier) ->
       let ctx = Sha256.init () in
+      Option.iter
+        (fun e ->
+          Sha256.update_string ctx e;
+          if String.length e mod 2 = 0 then ignore (Sha256.finalize ctx);
+          Sha256.reset ctx)
+        earlier;
       let last =
         List.fold_left
           (fun pos cut ->
@@ -435,6 +463,7 @@ let suite =
     q chacha_roundtrip;
     q chacha_matches_blocks;
     ("sha256 hex_of_digest", `Quick, test_hex_of_digest);
+    ("sha256 NIST vectors on one reused context", `Quick, test_sha256_vectors_reused_context);
     ("bignum basics", `Quick, test_bignum_basic);
     ("bignum underflow/divzero", `Quick, test_bignum_underflow);
     q bignum_add_comm;

@@ -325,6 +325,10 @@ let test_fleet_pinned_reports () =
         },
         "eeb889bd8941e93f",
         "9fdf78e78f851ce8" );
+      ( "sqldb",
+        { quick_cfg with guests = 3; workload = Fleet.Sqldb; requests = 90 },
+        "21c3c7d7a07aabb7",
+        "4ed176ff8c80727c" );
     ]
   in
   List.iter (fun (tag, cfg, report, journal) -> check_pins tag cfg ~report ~journal) pins

@@ -387,6 +387,171 @@ let fs_chunked_file =
              | Error _ -> false)
            [ 0; 1; 4095; 4096; 4097; size / 3; size ])
 
+(* --- byte streams: socket pairs and pipes against a flat model --- *)
+
+(* Sends of 0-6,000 bytes and reads of 0-9,000, with short ones
+   over-drawn so reads split chunks and gather across them; [`End e]
+   is shutdown (sockets) or the last writer closing (pipes), [`Close e]
+   is close (sockets) or the last reader closing (pipes). *)
+let stream_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map2 (fun e n -> `Send (e, n)) (0 -- 1) (frequency [ (1, return 0); (3, 1 -- 64); (3, 0 -- 6_000) ]));
+        (8, map2 (fun e n -> `Recv (e, n)) (0 -- 1) (frequency [ (1, return 0); (3, 1 -- 100); (3, 0 -- 9_000) ]));
+        (1, map (fun e -> `End e) (0 -- 1));
+        (1, map (fun e -> `Close e) (0 -- 1));
+      ])
+
+let print_stream_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | `Send (e, n) -> Printf.sprintf "send %d %d" e n
+         | `Recv (e, n) -> Printf.sprintf "recv %d %d" e n
+         | `End e -> Printf.sprintf "end %d" e
+         | `Close e -> Printf.sprintf "close %d" e)
+       ops)
+
+let stream_ops = QCheck.make ~print:print_stream_ops QCheck.Gen.(list_size (1 -- 40) stream_op)
+
+(* The k-th send's bytes: distinct from every other send's, so a read
+   that returns the wrong bytes cannot pass. *)
+let payload k n = Bytes.init n (fun i -> Char.chr (((k * 31) + (i * 7)) land 0xff))
+
+(* The copy-once contract: flip every byte of a buffer the caller has
+   handed to [send] or received from [recv]; no later read may see it. *)
+let scribble b = Bytes.iteri (fun i c -> Bytes.set b i (Char.chr (Char.code c lxor 0xff))) b
+
+let model_take q n =
+  let s = Buffer.contents q in
+  let n = min n (String.length s) in
+  Buffer.clear q;
+  Buffer.add_string q (String.sub s n (String.length s - n));
+  String.sub s 0 n
+
+let same_result got want =
+  match (got, want) with
+  | Ok b, Ok s -> Bytes.to_string b = s
+  | Error e, Error e' -> e = e'
+  | _ -> false
+
+(* A connected pair: each recv returns exactly the model's next
+   [min len queued] bytes, EAGAIN while both sides are open and EOF
+   after either shuts down or closes; [pending] is the model's
+   length. *)
+let net_pair_matches_model =
+  QCheck.Test.make ~name:"socket pair = flat byte-stream model" ~count:300 stream_ops (fun ops ->
+      let net = Guest_kernel.Net.create () in
+      let a, b = Guest_kernel.Net.pair net in
+      let ep = [| a; b |] in
+      let q = [| Buffer.create 16; Buffer.create 16 |] in
+      let open_ = [| true; true |] and closed = [| false; false |] in
+      let live e = open_.(e) && not closed.(e) in
+      let sent = ref 0 in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | `Send (e, n) ->
+                let data = payload !sent n in
+                incr sent;
+                let want =
+                  if closed.(e) then Error K.ENOTCONN
+                  else if not (live e && live (1 - e)) then Error K.EPIPE
+                  else begin
+                    Buffer.add_bytes q.(1 - e) data;
+                    Ok n
+                  end
+                in
+                let got = Guest_kernel.Net.send net ep.(e) data in
+                scribble data;
+                got = want
+            | `Recv (e, n) ->
+                let want =
+                  if closed.(e) then Error K.ENOTCONN
+                  else if Buffer.length q.(e) = 0 then
+                    if live e && live (1 - e) then Error K.EAGAIN else Ok ""
+                  else Ok (model_take q.(e) n)
+                in
+                let got = Guest_kernel.Net.recv net ep.(e) n in
+                let same = same_result got want in
+                Result.iter scribble got;
+                same
+            | `End e ->
+                Guest_kernel.Net.shutdown net ep.(e);
+                open_.(e) <- false;
+                true
+            | `Close e ->
+                Guest_kernel.Net.close net ep.(e);
+                open_.(e) <- false;
+                closed.(e) <- true;
+                true
+          in
+          ok
+          && List.for_all
+               (fun e ->
+                 Guest_kernel.Net.pending net ep.(e) = if closed.(e) then 0 else Buffer.length q.(e))
+               [ 0; 1 ])
+        ops)
+
+(* A pipe through the read/write syscalls: reads return the model's
+   next [min len queued] bytes, EAGAIN while a writer remains and EOF
+   after the last one closes; writes fail with EPIPE once no reader is
+   left.  The close syscall drops only the fd-table entry, so the last
+   writer or reader closes on the pipe object itself.  A pipe has one
+   direction: every send writes the write end and every recv reads the
+   read end, whichever endpoint the op names. *)
+let pipe_kernel = lazy (boot_native ())
+
+let pipe_matches_model =
+  QCheck.Test.make ~name:"pipe = flat byte-stream model" ~count:300 stream_ops (fun ops ->
+      let kernel, proc = Lazy.force pipe_kernel in
+      let fds = expect_int "pipe" (sys kernel proc S.Pipe []) in
+      let r = fds land 0xffff and w = fds lsr 16 in
+      let pipe =
+        match Guest_kernel.Process.find_fd proc w with
+        | Ok { Guest_kernel.Fd.kind = Guest_kernel.Fd.Pipe_w p } -> p
+        | _ -> Alcotest.fail "write end is not a pipe"
+      in
+      let q = Buffer.create 16 in
+      let sent = ref 0 in
+      List.for_all
+        (function
+          | `Send (_, n) ->
+              let data = payload !sent n in
+              incr sent;
+              let want =
+                if pipe.Guest_kernel.Fd.readers = 0 then K.RErr K.EPIPE
+                else begin
+                  Buffer.add_bytes q data;
+                  K.RInt n
+                end
+              in
+              let got = sys kernel proc S.Write [ K.Int w; K.Buf data ] in
+              scribble data;
+              got = want
+          | `Recv (_, n) -> (
+              let want =
+                if min n (Buffer.length q) = 0 then
+                  if pipe.Guest_kernel.Fd.writers > 0 then Error K.EAGAIN else Ok ""
+                else Ok (model_take q n)
+              in
+              match sys kernel proc S.Read [ K.Int r; K.Int n ] with
+              | K.RBuf b ->
+                  let same = same_result (Ok b) want in
+                  scribble b;
+                  same
+              | K.RErr e -> same_result (Error e) want
+              | _ -> false)
+          | `End _ ->
+              pipe.Guest_kernel.Fd.writers <- 0;
+              true
+          | `Close _ ->
+              pipe.Guest_kernel.Fd.readers <- 0;
+              true)
+        ops)
+
 let suite =
   [
     ("sysno table", `Quick, test_sysno_table);
@@ -395,6 +560,8 @@ let suite =
     ("fs devices", `Quick, test_fs_devices);
     q fs_random_ops;
     q fs_chunked_file;
+    q net_pair_matches_model;
+    q pipe_matches_model;
     ("sys file io", `Quick, test_sys_file_io);
     ("sys open flags", `Quick, test_sys_open_flags);
     ("sys append mode", `Quick, test_sys_append_mode);
